@@ -1,13 +1,17 @@
 """Factor analysis for the sequences in this package.
 
-Every function here works on a finite snapshot: a generator is materialized
-to its prefix of length `horizon`, a Word or plain string is taken as-is.
-Results therefore certify only what the snapshot shows; horizons should be
-generous relative to the factor lengths involved (return-word scans want the
-horizon to exceed the last used occurrence plus twice the largest gap seen).
+Every function here works on a finite snapshot, a `Text`: a generator is
+materialized to its prefix of length `horizon`, a Word, list or plain string
+is taken as-is (cut at `horizon` when one is given), and a prebuilt Text is
+used unchanged. Results therefore certify only what the snapshot shows;
+horizons should be generous relative to the factor lengths involved
+(return-word scans want the horizon to exceed the last used occurrence plus
+twice the largest gap seen).
 
-Exponents and counts are exact (ints and Fractions); numpy is used only for
-boolean mismatch masks and integer window sums.
+A Text codes each letter by its rank of first appearance, once, both as a
+numpy array and as a str for C-speed substring search. Exponents and counts
+are exact (ints and Fractions); numpy holds the letter codes, boolean
+mismatch masks and integer window sums.
 """
 
 from __future__ import annotations
@@ -26,46 +30,60 @@ from .words import (
     discolour_letter,
 )
 
-Source = SequenceGenerator | Word | Sequence[str] | str
 
+class Text:
+    """One encoded snapshot of a sequence, built once and shared.
 
-def _materialize(source: Source, horizon: int | None) -> list[str]:
-    if isinstance(source, SequenceGenerator):
-        if horizon is None:
-            raise ValueError("horizon is required when analysing a generator")
-        return source.letters(horizon)
-    if isinstance(source, Word):
-        letters = list(source)
-    elif isinstance(source, str):
-        letters = list(source)
-    else:
-        letters = list(source)
-    return letters if horizon is None else letters[:horizon]
+    `letters` is the snapshot, `alphabet` its letters in order of first
+    appearance, `codes` each letter's rank in that alphabet (numpy, the
+    smallest unsigned dtype that holds every rank) and `string` the same
+    ranks as a str of chr(rank), for str.find. Constructing a Text from a
+    Text returns it unchanged; it is already cut, so a horizon is refused.
+    """
 
+    __slots__ = ("letters", "alphabet", "codes", "string", "_rank")
 
-class _Snapshot:
-    """Letters plus a single-character encoding for C-speed substring scans."""
-
-    __slots__ = ("letters", "text", "codes", "tokens")
-
-    def __init__(self, letters: list[str]) -> None:
+    def __new__(cls, source: Source, horizon: int | None = None) -> Text:
+        if isinstance(source, Text):
+            if horizon is not None:
+                raise ValueError("a Text is already a finite snapshot; pass no horizon with it")
+            return source
+        if isinstance(source, SequenceGenerator):
+            if horizon is None:
+                raise ValueError("horizon is required when analysing a generator")
+            letters = source.letters(horizon)
+        else:
+            letters = list(source)
+            if horizon is not None:
+                del letters[horizon:]
+        self = super().__new__(cls)
         self.letters = letters
-        codes: dict[str, str] = {}
-        for tok in letters:
-            if tok not in codes:
-                codes[tok] = chr(0x21 + len(codes))
-        self.codes = codes
-        self.tokens = {v: k for k, v in codes.items()}
-        self.text = "".join([codes[tok] for tok in letters])
+        self.alphabet = tuple(dict.fromkeys(letters))
+        self._rank = {tok: k for k, tok in enumerate(self.alphabet)}
+        dtype = np.min_scalar_type(max(len(self.alphabet) - 1, 0))
+        self.codes = np.fromiter(map(self._rank.__getitem__, letters), dtype, len(letters))
+        if dtype == np.uint8:
+            self.string = self.codes.tobytes().decode("latin-1")
+        else:
+            wide = self.codes.astype("<u4").tobytes()
+            self.string = wide.decode("utf-32-le", "surrogatepass")
+        return self
+
+    def __len__(self) -> int:
+        return len(self.letters)
 
     def encode(self, word: Word) -> str | None:
+        """`word` in the coding of `string`; None when the snapshot lacks one of its letters."""
         try:
-            return "".join([self.codes[tok] for tok in word])
+            return "".join([chr(self._rank[tok]) for tok in word])
         except KeyError:
-            return None  # contains a letter the snapshot never shows
+            return None
 
-    def decode(self, text: str) -> Word:
-        return Word(self.tokens[ch] for ch in text)
+    def decode(self, coded: str) -> Word:
+        return Word(self.alphabet[ord(ch)] for ch in coded)
+
+
+Source = SequenceGenerator | Word | Text | Sequence[str] | str
 
 
 @dataclass(frozen=True)
@@ -140,40 +158,58 @@ class FibonacciBispecial:
     other_return: Word
 
 
-def occurrences(factor: Word, source: Source, horizon: int | None = None) -> OccurrenceList:
-    """All start positions of `factor` inside the snapshot."""
+def _positions(factor: Word, text: Text) -> list[int]:
     if len(factor) == 0:
         raise ValueError("factor must be nonempty")
-    snap = _Snapshot(_materialize(source, horizon))
-    pattern = snap.encode(factor)
+    pattern = text.encode(factor)
     positions: list[int] = []
     if pattern is not None:
-        pos = snap.text.find(pattern)
+        find = text.string.find
+        pos = find(pattern)
         while pos != -1:
             positions.append(pos)
-            pos = snap.text.find(pattern, pos + 1)
-    return OccurrenceList(factor, tuple(positions), len(snap.letters))
+            pos = find(pattern, pos + 1)
+    return positions
+
+
+def _return_walk(factor: Word, text: Text) -> tuple[int, list[str], list[int], list[int]]:
+    """One walk over the occurrences of `factor`: the number of occurrences,
+    the distinct gaps between consecutive ones (coded, by first appearance),
+    the end of each gap's first appearance, and the gap index of every step.
+    """
+    positions = _positions(factor, text)
+    index: dict[str, int] = {}
+    first_ends: list[int] = []
+    walk: list[int] = []
+    string = text.string
+    for start, end in zip(positions, positions[1:]):
+        gap = string[start:end]
+        k = index.get(gap)
+        if k is None:
+            k = index[gap] = len(first_ends)
+            first_ends.append(end)
+        walk.append(k)
+    return len(positions), list(index), first_ends, walk
+
+
+def occurrences(factor: Word, source: Source, horizon: int | None = None) -> OccurrenceList:
+    """All start positions of `factor` inside the snapshot."""
+    text = Text(source, horizon)
+    return OccurrenceList(factor, tuple(_positions(factor, text)), len(text))
 
 
 def return_words(factor: Word, source: Source, horizon: int | None = None) -> ReturnWordSet:
     """Distinct words separating consecutive occurrences of `factor`."""
-    occ = occurrences(factor, source, horizon)
-    if len(occ.positions) < 2:
+    text = Text(source, horizon)
+    count, gaps, first_ends, _ = _return_walk(factor, text)
+    if count < 2:
         raise ValueError(
-            f"factor {factor.to_text()!r} occurs {len(occ.positions)} time(s) "
+            f"factor {factor.to_text()!r} occurs {count} time(s) "
             "in the snapshot; need at least 2 to observe a return word"
         )
-    letters = _materialize(source, horizon)
-    seen: dict[tuple[str, ...], int] = {}
-    order: list[Word] = []
-    for start, end in zip(occ.positions, occ.positions[1:]):
-        gap = tuple(letters[start:end])
-        if gap not in seen:
-            seen[gap] = end
-            order.append(Word(gap))
-    half = occ.horizon // 2
-    complete = all(first_end <= half for first_end in seen.values())
-    return ReturnWordSet(factor, tuple(order), complete)
+    half = len(text) // 2
+    complete = all(end <= half for end in first_ends)
+    return ReturnWordSet(factor, tuple(text.decode(gap) for gap in gaps), complete)
 
 
 def _extension_sets(text: str, pattern: str) -> tuple[set[str], set[str]]:
@@ -205,9 +241,8 @@ def bispecial_factors(source: Source, horizon: int | None = None, max_len: int =
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    snap = _Snapshot(_materialize(source, horizon))
-    text = snap.text
-    alphabet = sorted(set(text))
+    text = Text(source, horizon)
+    alphabet = [chr(k) for k in range(len(text.alphabet))]
     found: list[Word] = []
     frontier: list[str] = [""] if len(alphabet) >= 2 else []
     if frontier and len(text) >= 2:
@@ -217,11 +252,11 @@ def bispecial_factors(source: Source, horizon: int | None = None, max_len: int =
         for stem in frontier:
             for c in alphabet:
                 cand = c + stem
-                lefts, rights = _extension_sets(text, cand)
+                lefts, rights = _extension_sets(text.string, cand)
                 if len(rights) >= 2:
                     nxt.append(cand)
                     if len(lefts) >= 2:
-                        found.append(snap.decode(cand))
+                        found.append(text.decode(cand))
         frontier = nxt
         if not frontier:
             break
@@ -274,20 +309,18 @@ def is_balanced(
     two window positions realising the spread. max_window is clipped to the
     snapshot length.
     """
-    letters = _materialize(source, horizon)
-    n = len(letters)
+    text = Text(source, horizon)
+    n = len(text)
     if n == 0:
         raise ValueError("empty snapshot")
     max_window = min(max_window, n)
-    alphabet = sorted(set(letters))
-    arr = np.array([alphabet.index(tok) for tok in letters], dtype=np.int16)
-    prefix_sums = {
-        tok: np.concatenate(([0], np.cumsum(arr == k, dtype=np.int64)))
-        for k, tok in enumerate(alphabet)
-    }
+    # letters in sorted token order, so the witness does not depend on the coding
+    prefix_sums = [
+        (tok, np.concatenate(([0], np.cumsum(text.codes == k, dtype=np.int64))))
+        for k, tok in sorted(enumerate(text.alphabet), key=lambda item: item[1])
+    ]
     for window in range(1, max_window + 1):
-        for tok in alphabet:
-            sums = prefix_sums[tok]
+        for tok, sums in prefix_sums:
             counts = sums[window:] - sums[:-window]
             low = int(counts.min())
             high = int(counts.max())
@@ -315,20 +348,13 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
     first appearance ("1", "2", ...), and the output covers every complete
     return word the horizon certifies.
     """
-    letters = _materialize(source, horizon)
-    if list(factor) != letters[: len(factor)]:
+    text = Text(source, horizon)
+    if list(factor) != text.letters[: len(factor)]:
         raise ValueError(f"factor {factor.to_text()!r} is not a prefix of the sequence")
-    occ = occurrences(factor, letters)
-    if len(occ.positions) < 2:
+    count, _, _, walk = _return_walk(factor, text)
+    if count < 2:
         raise ValueError("need at least 2 occurrences to derive")
-    names: dict[tuple[str, ...], str] = {}
-    out: list[str] = []
-    for start, end in zip(occ.positions, occ.positions[1:]):
-        gap = tuple(letters[start:end])
-        if gap not in names:
-            names[gap] = str(len(names) + 1)
-        out.append(names[gap])
-    return Word(out)
+    return Word(str(k + 1) for k in walk)
 
 
 def parikh_is_fib_factor(k: int, ell: int) -> bool:
@@ -358,7 +384,8 @@ def max_fractional_power(
     Fractions; ties go to the smaller period, then the smaller position. The
     witness is re-verified letter by letter before it is returned.
     """
-    letters = _materialize(source, horizon)
+    text = Text(source, horizon)
+    letters, arr = text.letters, text.codes
     n = len(letters)
     if max_period is None:
         max_period = max(n // 2, 1)
@@ -367,11 +394,6 @@ def max_fractional_power(
             f"need 1 <= min_period <= max_period <= {n - 1}, "
             f"got [{min_period}, {max_period}] at horizon {n}"
         )
-    vocab: dict[str, int] = {}
-    for tok in letters:
-        vocab.setdefault(tok, len(vocab))
-    arr = np.array([vocab[tok] for tok in letters], dtype=np.int16)
-
     best_exp = Fraction(0)
     best_period = min_period
     best_pos = 0

@@ -1,10 +1,12 @@
 """Command-line surface: generation, analysis, exact bounds, check suites.
 
 Text output is line-oriented, json is a single document, csv (table only)
-carries a header row. Decimals are shown to 6 places: upper bounds (the
-colouring bound and the coarse bound) are rounded up, so a printed bound is
-never below the exact one; best-known thresholds, exponents and other
-decimals are rounded to nearest. Exact values are in the json forms.
+carries a header row. Numbers are shown to 6 decimal places, decided in
+integer arithmetic: upper bounds (the colouring bound and the coarse bound)
+are rounded up, so a printed bound is never below the exact one; best-known
+thresholds, exponents and other values are rounded to nearest. Exact values
+are in the json forms. A horizon or length above SEQLAB_MAX_HORIZON (default
+10^7) is a usage error, and so is a value of it that is not a positive integer.
 Progress for long scans goes to standard error, and only when that is a
 terminal, so standard output stays machine-parsable and identical
 invocations produce byte-identical output.
@@ -18,12 +20,12 @@ import math
 import os
 import random
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from .analysis import (
+    Text,
     bispecial_factors,
     derived_sequence,
     fibonacci_bispecial,
@@ -67,21 +69,22 @@ SUITES = (
 )
 
 
-def _max_horizon() -> int:
+def _check_guard(parser: argparse.ArgumentParser, option: str, value: int) -> None:
+    """Usage error when `value` exceeds SEQLAB_MAX_HORIZON (default 10^7) or
+    when that variable is set to anything but a positive integer.
+    """
     raw = os.environ.get("SEQLAB_MAX_HORIZON")
-    if raw is None:
-        return DEFAULT_MAX_HORIZON
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_MAX_HORIZON
-
-
-def _frac_decimal(value: Fraction, places: int = 6) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 50
-        val = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(val.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+    limit = DEFAULT_MAX_HORIZON
+    if raw is not None:
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            parser.error(f"SEQLAB_MAX_HORIZON must be a positive integer, got {raw!r}")
+    if value > limit:
+        parser.error(f"{option} exceeds the guard ({limit}); "
+                     "set SEQLAB_MAX_HORIZON to raise it")
 
 
 def _quote(word: Word) -> str:
@@ -92,15 +95,6 @@ def _word_json(word: Word) -> dict[str, object]:
     return {
         "text": word.to_text(),
         "letters": [letter_to_json(t) for t in word],
-    }
-
-
-def _golden_json(value: GoldenNumber) -> dict[str, int]:
-    return {
-        "a_num": value.a.numerator,
-        "a_den": value.a.denominator,
-        "b_num": value.b.numerator,
-        "b_den": value.b.denominator,
     }
 
 
@@ -148,9 +142,7 @@ def _emit_json(doc: object, output: str | None) -> None:
 def _cmd_generate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.length < 0:
         parser.error("--length must be >= 0")
-    if args.length > _max_horizon():
-        parser.error(f"--length exceeds the guard ({_max_horizon()}); "
-                     "set SEQLAB_MAX_HORIZON to raise it")
+    _check_guard(parser, "--length", args.length)
     if args.sequence in ("constant-gap", "colouring"):
         if args.delta is None:
             parser.error(f"--delta is required for --sequence {args.sequence}")
@@ -194,9 +186,7 @@ def _resolve_subject(
     horizon = args.horizon
     if horizon < 1:
         parser.error("--horizon must be >= 1")
-    if horizon > _max_horizon():
-        parser.error(f"--horizon exceeds the guard ({_max_horizon()}); "
-                     "set SEQLAB_MAX_HORIZON to raise it")
+    _check_guard(parser, "--horizon", horizon)
     if args.delta is not None and not 1 <= args.delta <= 9:
         parser.error("--delta must be in 1..9")
 
@@ -384,7 +374,7 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
                         "numerator": record.exponent.numerator,
                         "denominator": record.exponent.denominator,
                     },
-                    "exponent_decimal": _frac_decimal(record.exponent),
+                    "exponent_decimal": GoldenNumber(record.exponent).decimal(),
                     "position": record.position,
                 },
                 args.output,
@@ -395,7 +385,7 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             _emit(
                 f"root: {_quote(root)}{suffix}\n"
                 f"period: {record.period}\n"
-                f"exponent: {record.exponent} = {_frac_decimal(record.exponent)}\n"
+                f"exponent: {record.exponent} = {GoldenNumber(record.exponent).decimal()}\n"
                 f"position: {record.position}\n",
                 args.output,
             )
@@ -429,7 +419,7 @@ def _cmd_bound(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.format == "json":
         doc = result.to_json_dict()
         if coarse is not None:
-            doc["coarse_bound_exact"] = _golden_json(coarse)
+            doc["coarse_bound_exact"] = coarse.to_json_dict()
             doc["coarse_bound_decimal"] = coarse.decimal(6, upward=True)
             doc["within_coarse_bound"] = ok
         _emit_json(doc, args.output)
@@ -559,9 +549,9 @@ def _suite_golden_sign(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
 def _suite_parikh_membership(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     bound = args.max or 60
     horizon = args.horizon or 10**4
-    text = "".join(fibonacci_sequence().letters(horizon))
-    arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("a")
-    sums = np.concatenate([[0], np.cumsum(arr, dtype=np.int64)])
+    text = Text(fibonacci_sequence(), horizon)
+    is_a = text.codes == text.alphabet.index("a")
+    sums = np.concatenate([[0], np.cumsum(is_a, dtype=np.int64)])
     observed: dict[int, set[int]] = {}
     for length in range(1, 2 * bound + 1):
         window_counts = sums[length:] - sums[:-length]
@@ -604,7 +594,7 @@ def _suite_return_words(args: argparse.Namespace) -> list[tuple[str, bool, str]]
     lo, hi = _parse_span(args.n or "1..15")
     horizon = args.horizon or 10**5
     max_len = args.max_len or 50
-    snap = fibonacci_sequence().letters(horizon)
+    snap = Text(fibonacci_sequence(), horizon)
     checks = []
     for n in range(lo, hi + 1):
         fb = fibonacci_bispecial(n)
@@ -625,15 +615,15 @@ def _suite_return_words(args: argparse.Namespace) -> list[tuple[str, bool, str]]
             if ok else f"scan gave {[w.to_text()[:30] for w in rws.returns]}",
         ))
 
-    text = "".join(snap)
+    string = snap.string
     bad: list[str] = []
     total = 0
     for length in range(1, max_len + 1):
-        factors = {text[i:i + length] for i in range(len(text) - length + 1)}
-        for fac in sorted(factors):
+        coded = {string[i:i + length] for i in range(len(string) - length + 1)}
+        for fac in sorted((snap.decode(c) for c in coded), key=Word.to_text):
             total += 1
-            if len(return_words(Word(fac), snap).returns) != 2:
-                bad.append(fac)
+            if len(return_words(fac, snap).returns) != 2:
+                bad.append(fac.to_text())
     checks.append((
         f"every factor of length <= {max_len} has exactly two return words",
         not bad,
@@ -651,8 +641,8 @@ def _suite_divisibility(args: argparse.Namespace) -> list[tuple[str, bool, str]]
     checks = []
     for delta in deltas:
         period = 2 ** (delta - 1)
-        snap = colouring(delta).letters(horizon)
-        coloured = [w for w in bispecial_factors(snap, horizon, max_len)
+        snap = Text(colouring(delta), horizon)
+        coloured = [w for w in bispecial_factors(snap, None, max_len)
                     if sufficiently_coloured(w, period)]
         bad_len = [len(w) for w in coloured if len(w) not in lengths]
         checks.append((
@@ -826,9 +816,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "csv" and args.command != "table":
         parser.error("--format csv is only available for the table command")
     if args.command == "verify" and args.horizon is not None:
-        if args.horizon > _max_horizon():
-            parser.error(f"--horizon exceeds the guard ({_max_horizon()}); "
-                         "set SEQLAB_MAX_HORIZON to raise it")
+        _check_guard(parser, "--horizon", args.horizon)
 
     if args.command == "generate":
         return _cmd_generate(args, parser)

@@ -3,8 +3,8 @@
 The centrepiece is the bound for the coloured Fibonacci word over 2*delta
 letters: with H = 2^(delta-1) and the unique level n0 satisfying
 tau^(n0+1) <= H < tau^(n0+2), the asymptotic critical exponent is at most
-1 + 1/(H * tau^(n0-1)). Everything on that path is exact; floating point
-appears only in decimal renderings.
+1 + 1/(H * tau^(n0-1)). Everything on that path is exact, the decimal
+renderings and the comparisons with known thresholds included.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 from .analysis import RepetitionRecord, max_fractional_power
-from .golden import ONE, GoldenNumber, fib, sqrt5_sign, tau_pow
+from .golden import ONE, GoldenNumber, fib, sqrt5_sign, surd_decimal, tau_pow
 from .words import SequenceGenerator, colouring
 
 
@@ -66,12 +65,7 @@ class BoundResult:
             "d": self.d,
             "H": self.period_length,
             "N0": self.level,
-            "bound_exact": {
-                "a_num": self.bound.a.numerator,
-                "a_den": self.bound.a.denominator,
-                "b_num": self.bound.b.numerator,
-                "b_den": self.bound.b.denominator,
-            },
+            "bound_exact": self.bound.to_json_dict(),
             "bound_decimal": self.bound_decimal(),
         }
 
@@ -295,14 +289,6 @@ def empirical_asymptotic_estimate(
     return ExponentEstimate(mode="asymptotic", estimate=record.exponent, witness=record)
 
 
-def _surd_decimal(p: int, q: int, r: int, s: int, places: int = 6) -> str:
-    """(p + q*sqrt(r)) / s rendered to `places` decimal places."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        val = (p + q * Decimal(r).sqrt()) / s
-        return str(val.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
-
-
 # best published values of the repetitive threshold RTB*(d) for even d:
 # exact elements of Q(tau) where known, otherwise (p, q, r, s) for (p+q*sqrt(r))/s
 _KNOWN_THRESHOLDS: dict[int, GoldenNumber | tuple[int, int, int, int]] = {
@@ -329,38 +315,29 @@ class ThresholdRow:
             "d": self.d,
             "H": self.period_length,
             "N0": self.level,
-            "bound_exact": {
-                "a_num": self.bound.a.numerator,
-                "a_den": self.bound.a.denominator,
-                "b_num": self.bound.b.numerator,
-                "b_den": self.bound.b.denominator,
-            },
+            "bound_exact": self.bound.to_json_dict(),
             "bound_decimal": self.bound_decimal,
             "rtb_star_decimal": self.rtb_star_decimal,
             "marker": self.marker,
         }
 
 
-def _marker(bound: GoldenNumber, known: GoldenNumber | tuple[int, int, int, int]) -> str:
-    """"=" when the known threshold equals the bound, "<" when it is below."""
-    if isinstance(known, GoldenNumber):
-        s = (bound - known).sign()
-    else:
-        with localcontext() as ctx:
-            ctx.prec = 50
-            p, q, r, s_den = known
-            known_val = (p + q * Decimal(r).sqrt()) / s_den
-            tau = (1 + Decimal(5).sqrt()) / 2
-            bound_val = (
-                Decimal(bound.a.numerator) / bound.a.denominator
-                + Decimal(bound.b.numerator) / bound.b.denominator * tau
-            )
-            diff = bound_val - known_val
-        if abs(diff) < Decimal("1e-40"):
-            s = 0
-        else:
-            s = 1 if diff > 0 else -1
-    return {0: "=", 1: "<", -1: ">"}[s]
+def _marker(bound: GoldenNumber, known: tuple[int, int, int, int]) -> str:
+    """"=" when the known threshold equals the bound, "<" when it is below.
+
+    With bound = (P + Q*sqrt5)/S and known = (p + q*sqrt(r))/s, the sign of
+    bound - known is that of u + v for u = (Ps - pS) + Qs*sqrt5 and
+    v = -qS*sqrt(r). When u and v differ in sign, the sign of u^2 - v^2
+    decides which one dominates; both signs are exact.
+    """
+    big_p, big_q, _, big_s = bound.surd()
+    p, q, r, s = known
+    a, b, c = big_p * s - p * big_s, big_q * s, -q * big_s
+    u, v = sqrt5_sign(a, b), (c > 0) - (c < 0)
+    if u * v < 0:
+        u *= sqrt5_sign(a * a + 5 * b * b - c * c * r, 2 * a * b)
+        v = 0
+    return {0: "=", 1: "<", -1: ">"}[u or v]
 
 
 def threshold_table(d_max: int = 10) -> list[ThresholdRow]:
@@ -377,9 +354,7 @@ def threshold_table(d_max: int = 10) -> list[ThresholdRow]:
         result = colouring_exponent_bound(d // 2)
         known = _KNOWN_THRESHOLDS[d]
         if isinstance(known, GoldenNumber):
-            known_decimal = known.decimal(6)
-        else:
-            known_decimal = _surd_decimal(*known)
+            known = known.surd()
         rows.append(
             ThresholdRow(
                 d=d,
@@ -387,7 +362,7 @@ def threshold_table(d_max: int = 10) -> list[ThresholdRow]:
                 level=result.level,
                 bound=result.bound,
                 bound_decimal=result.bound_decimal(),
-                rtb_star_decimal=known_decimal,
+                rtb_star_decimal=surd_decimal(*known),
                 marker=_marker(result.bound, known),
             )
         )

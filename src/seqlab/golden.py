@@ -55,21 +55,38 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"rational coefficient required, got {type(value).__name__}")
 
 
-def _floor_scaled(x: GoldenNumber, scale: int) -> tuple[int, bool]:
-    """floor(x * scale) for a positive integer scale, and whether it is exact.
-
-    x * scale = (p + q*sqrt(5)) / (2*den) with integers p, q, den; the floor
-    of q*sqrt(5) comes from math.isqrt, and for q != 0 it is never exact
-    because sqrt(5) is irrational.
+def _floor_surd(p: int, q: int, r: int, s: int) -> tuple[int, bool]:
+    """floor((p + q*sqrt(r)) / s) for integers p, q, r >= 0 and s > 0, and
+    whether the quotient is an integer. The floor of q*sqrt(r) comes from
+    math.isqrt, so the result is exact at any size.
     """
-    a, b = x.a * scale, x.b * scale
-    if b == 0:
-        return math.floor(a), a.denominator == 1
-    den = math.lcm(a.denominator, b.denominator)
-    p = int((2 * a + b) * den)
-    q = int(b * den)
-    root = math.isqrt(5 * q * q)
-    return (p + (root if q > 0 else -root - 1)) // (2 * den), False
+    root = math.isqrt(q * q * r)
+    irrational = root * root != q * q * r
+    num = p + (root if q >= 0 else -root - irrational)
+    return num // s, not irrational and num % s == 0
+
+
+def surd_decimal(p: int, q: int, r: int, s: int, places: int = 6, *, upward: bool = False) -> str:
+    """(p + q*sqrt(r)) / s as a decimal with `places` places, exact rounding.
+
+    Rounds to nearest (ties to even) by default; with `upward` it rounds
+    toward +infinity, so the rendering of an upper bound is never below
+    it. The digit is decided in integer arithmetic, with no tolerance.
+    """
+    scale = 10**places
+    if upward:
+        low, _ = _floor_surd(-p * scale, -q * scale, r, s)
+        units = -low
+    else:
+        twice, exact = _floor_surd(2 * p * scale, 2 * q * scale, r, s)
+        units = (twice + 1) // 2
+        if exact and twice % 2 and units % 2:  # a tie goes to the even neighbour
+            units -= 1
+    digits = str(abs(units)).rjust(places + 1, "0")
+    if places:
+        digits = f"{digits[:-places]}.{digits[-places:]}"
+    negative = _floor_surd(p, q, r, s)[0] < 0
+    return ("-" if negative else "") + digits
 
 
 @total_ordering
@@ -216,26 +233,23 @@ class GoldenNumber:
         # display/estimation only; never used for decisions
         return float(self._a) + float(self._b) * (1 + math.sqrt(5)) / 2
 
-    def decimal(self, places: int = 6, *, upward: bool = False) -> str:
-        """Decimal rendering at the given number of places, exact rounding.
+    def surd(self) -> tuple[int, int, int, int]:
+        """Integers (p, q, 5, s), s > 0, with self = (p + q*sqrt(5)) / s."""
+        den = math.lcm(self._a.denominator, self._b.denominator)
+        return int((2 * self._a + self._b) * den), int(self._b * den), 5, 2 * den
 
-        Rounds to nearest (ties to even) by default; with `upward` it rounds
-        toward +infinity, so the rendering of an upper bound is never below
-        it. The digit is decided in integer arithmetic, with no tolerance.
-        """
-        scale = 10**places
-        if upward:
-            low, _ = _floor_scaled(-self, scale)
-            units = -low
-        else:
-            twice, exact = _floor_scaled(self, 2 * scale)
-            units = (twice + 1) // 2
-            if exact and twice % 2 and units % 2:  # a tie goes to the even neighbour
-                units -= 1
-        digits = str(abs(units)).rjust(places + 1, "0")
-        if places:
-            digits = f"{digits[:-places]}.{digits[-places:]}"
-        return ("-" if self.sign() < 0 else "") + digits
+    def decimal(self, places: int = 6, *, upward: bool = False) -> str:
+        """Rendering with `places` decimal places; see surd_decimal."""
+        return surd_decimal(*self.surd(), places, upward=upward)
+
+    def to_json_dict(self) -> dict[str, int]:
+        """Exact coefficients: a = a_num/a_den, b = b_num/b_den."""
+        return {
+            "a_num": self._a.numerator,
+            "a_den": self._a.denominator,
+            "b_num": self._b.numerator,
+            "b_den": self._b.denominator,
+        }
 
     def __str__(self) -> str:
         if self._b == 0:

@@ -148,9 +148,6 @@ class Morphism:
     def domain(self) -> frozenset[str]:
         return frozenset(self._images)
 
-    def image(self, letter: str) -> Word:
-        return Word(self._image_letters(letter))
-
     def _image_letters(self, letter: str) -> tuple[str, ...]:
         try:
             return self._images[letter]
@@ -204,10 +201,6 @@ class SequenceGenerator:
     def letters(self, n: int) -> list[str]:
         self._ensure(n)
         return self._buf[:n]
-
-    def letter_at(self, i: int) -> str:
-        self._ensure(i + 1)
-        return self._buf[i]
 
 
 class FixedPointGenerator(SequenceGenerator):
@@ -348,14 +341,6 @@ def fixed_point(morphism: Morphism, seed: str) -> FixedPointGenerator:
 def fibonacci_sequence() -> FixedPointGenerator:
     """The Fibonacci word, fixed point of a -> ab, b -> a."""
     return FixedPointGenerator(FIBONACCI_MORPHISM, "a")
-
-
-def colour(
-    base: SequenceGenerator,
-    plain: SequenceGenerator,
-    hat: SequenceGenerator,
-) -> ColouringGenerator:
-    return ColouringGenerator(base, plain, hat)
 
 
 def colouring(delta: int) -> ColouringGenerator:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.analysis import (
+    Text,
     bispecial_factors,
     derived_sequence,
     fibonacci_bispecial,
@@ -17,7 +18,13 @@ from seqlab.analysis import (
     sufficiently_coloured,
 )
 from seqlab.golden import fib
-from seqlab.words import FIBONACCI_MORPHISM, Word, colouring, fibonacci_sequence
+from seqlab.words import (
+    FIBONACCI_MORPHISM,
+    PeriodicGenerator,
+    Word,
+    colouring,
+    fibonacci_sequence,
+)
 
 
 def brute_force_max_exponent(text: str) -> Fraction:
@@ -109,6 +116,13 @@ def test_is_balanced_witness():
     assert (w.low_position, w.low_count) == (2, 0)
 
 
+def test_is_balanced_witness_letter_in_sorted_order():
+    # "b" appears first, but the witness names the letters in sorted order
+    report = is_balanced("bbaa")
+    assert report.witness.window == 2
+    assert report.witness.letter == "a"
+
+
 def test_is_balanced_colouring_small():
     for delta in (2, 3):
         assert is_balanced(colouring(delta), 3000, max_window=80).balanced
@@ -179,3 +193,72 @@ def test_sufficiently_coloured():
     assert not sufficiently_coloured(colouring(3).prefix(8), 4)
     assert sufficiently_coloured(colouring(3).prefix(19), 4)
     assert sufficiently_coloured(Word.from_text("abab"), 2)
+
+
+def outcome(call):
+    """The result of `call`, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def analyses(source, horizon, factor, n):
+    return {
+        "occurrences": outcome(lambda: occurrences(factor, source, horizon)),
+        "returns": outcome(lambda: return_words(factor, source, horizon)),
+        "derived": outcome(lambda: derived_sequence(factor, source, horizon)),
+        "bispecial": outcome(lambda: bispecial_factors(source, horizon, max_len=6)),
+        "balanced": outcome(lambda: is_balanced(source, horizon, max_window=8)),
+        "power": outcome(lambda: max_fractional_power(source, horizon, 1, n - 1)),
+    }
+
+
+@given(
+    text=st.text(alphabet="abc", min_size=1, max_size=30),
+    factor_len=st.integers(1, 3),
+    tail=st.text(alphabet="abcd", max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_source_form_gives_the_same_results(text, factor_len, tail):
+    factor = Word(text[:factor_len])
+    n = len(text)
+    forms = [
+        (text, None),
+        (list(text), None),
+        (Word(text), None),
+        (text + tail, n),
+        (PeriodicGenerator(Word(text + tail)), n),
+        (Text(text), None),
+        (Text(text + tail, n), None),
+    ]
+    results = [analyses(source, horizon, factor, n) for source, horizon in forms]
+    assert all(r == results[0] for r in results[1:])
+    got = results[0]
+    naive = tuple(i for i in range(n) if text.startswith(factor.to_text(), i))
+    assert got["occurrences"].positions == naive
+    if n >= 2:
+        assert got["power"].exponent == brute_force_max_exponent(text)
+
+
+def test_text_is_reused_and_refuses_a_horizon():
+    text = Text(fibonacci_sequence(), 50)
+    assert Text(text) is text
+    assert text.alphabet == ("a", "b")
+    assert text.decode(text.encode(Word.from_text("abaab"))) == Word.from_text("abaab")
+    assert text.encode(Word.from_text("ac")) is None
+    with pytest.raises(ValueError):
+        Text(text, 10)
+    with pytest.raises(ValueError):
+        occurrences(Word.from_text("a"), text, 50)
+
+
+def test_more_than_256_distinct_letters():
+    period = [f"x{i}" for i in range(300)]
+    letters = period * 2 + period[:10]
+    text = Text(letters)
+    assert len(text.alphabet) == 300 and text.codes.dtype.itemsize == 2
+    found = occurrences(Word(["x256", "x257"]), letters)
+    assert found.positions == (256, 556)
+    record = max_fractional_power(letters, min_period=2)
+    assert (record.exponent, record.period, record.position) == (Fraction(610, 300), 300, 0)

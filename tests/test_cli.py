@@ -296,6 +296,15 @@ def test_horizon_guard(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("raw", ["1O", "10k", "-5", ""])
+def test_malformed_guard_is_a_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("SEQLAB_MAX_HORIZON", raw)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", "--sequence", "fibonacci", "--length", "20"])
+    assert excinfo.value.code == 2
+    assert "SEQLAB_MAX_HORIZON must be a positive integer" in capsys.readouterr().err
+
+
 def test_default_guard_blocks_huge_horizon(capsys, monkeypatch):
     monkeypatch.delenv("SEQLAB_MAX_HORIZON", raising=False)
     assert run_usage_error(capsys, "analyze", "power", "--delta", "1",

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlab.golden import GoldenNumber
+from seqlab.golden import GoldenNumber, surd_decimal
 
 coefficients = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4)
 
@@ -46,3 +47,34 @@ def test_rounding_examples():
     assert (-x).decimal(upward=True) == "-1.014754"
     # a negative value that rounds to zero keeps its sign
     assert GoldenNumber(Fraction(-1, 10**8)).decimal() == "-0.000000"
+
+
+def fraction_decimal(value: Fraction, places: int) -> str:
+    """Round half to even by Python's own exact rounding of a Fraction."""
+    units = round(value * 10**places)
+    digits = str(abs(units)).rjust(places + 1, "0")
+    if places:
+        digits = f"{digits[:-places]}.{digits[-places:]}"
+    return ("-" if value < 0 else "") + digits
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.fractions(min_value=-10**3, max_value=10**3, max_denominator=2 * 10**6),
+       st.integers(0, 8))
+def test_fraction_rendering_rounds_half_to_even(value, places):
+    assert GoldenNumber(value).decimal(places) == fraction_decimal(value, places)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3), st.integers(0, 30),
+       st.integers(1, 10**4), st.integers(0, 8), st.booleans())
+def test_surd_rendering_of_perfect_squares(p, q, root, s, places, upward):
+    # (p + q*sqrt(root^2)) / s is rational, so ties and exact values occur
+    exact = Fraction(p + q * root, s)
+    got = surd_decimal(p, q, root * root, s, places, upward=upward)
+    if upward:
+        units = -math.floor(-exact * 10**places)
+        assert Fraction(got) == Fraction(units, 10**places)
+    else:
+        assert got == fraction_decimal(exact, places)
+

@@ -1,9 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqlab.exponents import (
     EXPECTED_MARKERS,
+    _marker,
     coefficient_lower_bounds,
     colouring_coefficient_certificate,
     colouring_exponent_bound,
@@ -224,3 +228,52 @@ def test_hatted_letters_stay_distinct_after_split():
     # splitting never invents hats: fresh letters are plain
     split = split_letter(colouring(2), "1")
     assert not any(is_hatted(t) for t in split.letters(512) if t in ("A", "B"))
+
+
+def surd_bracket(p: Fraction, q: Fraction, r: int, bits: int) -> tuple[Fraction, Fraction]:
+    """An interval around p + q*sqrt(r), from floor(2^bits * sqrt(r))."""
+    root = Fraction(math.isqrt(r << (2 * bits)), 1 << bits)
+    ends = (p + q * root, p + q * (root + Fraction(1, 1 << bits)))
+    return min(ends), max(ends)
+
+
+def bracket_marker(bound: GoldenNumber, known: tuple[int, int, int, int]) -> str:
+    """The marker by interval brackets that narrow until they separate; when
+    512 bits do not separate them, the two values are taken as equal.
+    """
+    p, q, r, s = known
+    for bits in (8, 32, 128, 512):
+        b_lo, b_hi = surd_bracket(bound.a + bound.b / 2, bound.b / 2, 5, bits)
+        k_lo, k_hi = surd_bracket(Fraction(p, s), Fraction(q, s), r, bits)
+        if b_lo > k_hi:
+            return "<"
+        if b_hi < k_lo:
+            return ">"
+    return "="
+
+
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+
+
+@st.composite
+def marker_cases(draw):
+    bound = GoldenNumber(draw(rationals), draw(rationals))
+    if draw(st.booleans()):
+        p, q, _, s = bound.surd()  # equal to the bound, or off by a tiny integer
+        known = (p + draw(st.integers(-1, 1)), q, 5, s)
+    else:
+        known = (draw(st.integers(-10**5, 10**5)), draw(st.integers(-10**3, 10**3)),
+                 draw(st.integers(0, 200)), draw(st.integers(1, 10**4)))
+    return bound, known
+
+
+@settings(max_examples=500, deadline=None)
+@given(marker_cases())
+@example((colouring_exponent_bound(3).bound, (75, 3, 65, 80)))
+@example((colouring_exponent_bound(5).bound, (364, -21, 7, 304)))
+@example((GoldenNumber(Fraction(5, 4)), (5, 0, 0, 4)))
+@example((GoldenNumber(Fraction(5, 4)), (0, 5, 1, 4)))
+@example((GoldenNumber(2), (0, 1, 4, 1)))
+def test_marker_sign_against_interval_brackets(case):
+    bound, known = case
+    assert _marker(bound, known) == bracket_marker(bound, known)
