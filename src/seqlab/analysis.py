@@ -12,6 +12,11 @@ A Text codes each letter by its rank of first appearance, once, both as a
 numpy array and as a str for C-speed substring search. Exponents and counts
 are exact (ints and Fractions); numpy holds the letter codes, boolean
 mismatch masks and integer window sums.
+
+The period scan of `max_fractional_power` locates runs only on periods that
+can beat the best exponent found so far: whether the agreement mask of a
+period holds a long enough run is decided first, exactly, by a few shifted
+ANDs, so skipped periods are exactly those that could not change the result.
 """
 
 from __future__ import annotations
@@ -307,8 +312,10 @@ def is_balanced(
     that letter over all length-L windows of the snapshot may spread by at
     most 1. On failure the witness names the window length, the letter and
     two window positions realising the spread. max_window is clipped to the
-    snapshot length.
+    snapshot length and must be at least 1.
     """
+    if max_window < 1:
+        raise ValueError(f"max_window must be >= 1, got {max_window}")
     text = Text(source, horizon)
     n = len(text)
     if n == 0:
@@ -369,6 +376,37 @@ def parikh_is_fib_factor(k: int, ell: int) -> bool:
     return (bound - g).sign() > 0 and (bound + g).sign() > 0
 
 
+def _longest_run(eq: np.ndarray) -> tuple[int, int]:
+    """Length and start of the first longest run of True in `eq`."""
+    mismatches = np.flatnonzero(~eq)
+    if mismatches.size == 0:
+        return eq.size, 0
+    runs = np.empty(mismatches.size + 1, dtype=np.int64)
+    runs[0] = mismatches[0]
+    runs[1:-1] = np.diff(mismatches) - 1
+    runs[-1] = eq.size - mismatches[-1] - 1
+    starts = np.empty(mismatches.size + 1, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = mismatches + 1
+    k = int(np.argmax(runs))  # first maximum: earliest position
+    return int(runs[k]), int(starts[k])
+
+
+def _has_run(eq: np.ndarray, need: int) -> bool:
+    """Whether `eq` holds `need` consecutive True values, 1 <= need <= eq.size.
+
+    w[i] tells whether eq[i : i + span] is all True. Each step ANDs w with
+    itself shifted by k <= span, which extends span by k, so span reaches
+    `need` after about log2(need) steps.
+    """
+    w, span = eq, 1
+    while span < need:
+        k = min(span, need - span)
+        w = w[:-k] & w[k:]
+        span += k
+    return bool(w.any())
+
+
 def max_fractional_power(
     source: Source,
     horizon: int | None = None,
@@ -383,6 +421,14 @@ def max_fractional_power(
     snapshot[i : i+r+p] of period p and exponent (r+p)/p. Exponents are exact
     Fractions; ties go to the smaller period, then the smaller position. The
     witness is re-verified letter by letter before it is returned.
+
+    Periods are pruned exactly. With best exponent e* so far, period p beats
+    it only with a run r > (e* - 1)*p, that is r >= need = floor((e* - 1)*p) + 1
+    in integers. A period with fewer than `need` comparisons is skipped
+    unread; otherwise about log2(need) shifted ANDs of the agreement mask
+    decide whether such a run exists, and only then are the runs located.
+    Every located period therefore raises e*, and skipped ones could not have,
+    so the result equals that of scanning every period in full.
     """
     text = Text(source, horizon)
     letters, arr = text.letters, text.codes
@@ -394,32 +440,20 @@ def max_fractional_power(
             f"need 1 <= min_period <= max_period <= {n - 1}, "
             f"got [{min_period}, {max_period}] at horizon {n}"
         )
-    best_exp = Fraction(0)
-    best_period = min_period
-    best_pos = 0
-    best_run = 0
+    # exponent 1 at the first period and position 0 until some letter repeats
+    best_period, best_pos, best_run = min_period, 0, 0
     total = max_period - min_period + 1
     step = max(1, total // 20)
     for i, p in enumerate(range(min_period, max_period + 1)):
         if progress is not None and i % step == 0:
             progress(i, total)
+        need = best_run * p // best_period + 1
+        if need > n - p:
+            continue
         eq = arr[p:] == arr[:-p]
-        mismatches = np.flatnonzero(~eq)
-        if mismatches.size == 0:
-            run, pos = eq.size, 0
-        else:
-            runs = np.empty(mismatches.size + 1, dtype=np.int64)
-            runs[0] = mismatches[0]
-            runs[1:-1] = np.diff(mismatches) - 1
-            runs[-1] = eq.size - mismatches[-1] - 1
-            starts = np.empty(mismatches.size + 1, dtype=np.int64)
-            starts[0] = 0
-            starts[1:] = mismatches + 1
-            k = int(np.argmax(runs))  # first maximum: earliest position
-            run, pos = int(runs[k]), int(starts[k])
-        exponent = Fraction(run + p, p)
-        if exponent > best_exp:
-            best_exp, best_period, best_pos, best_run = exponent, p, pos, run
+        if _has_run(eq, need):
+            best_run, best_pos = _longest_run(eq)
+            best_period = p
     if progress is not None:
         progress(total, total)
 
@@ -428,7 +462,7 @@ def max_fractional_power(
         raise ArithmeticError("repetition witness failed re-verification")
     return RepetitionRecord(
         root=Word(letters[i : i + p]),
-        exponent=best_exp,
+        exponent=Fraction(r + p, p),
         position=i,
     )
 

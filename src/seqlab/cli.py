@@ -57,6 +57,9 @@ from .words import (
 )
 
 DEFAULT_MAX_HORIZON = 10**7
+# coefficient_lower_bounds(n) enumerates (F_{n+3} + 1)^2 pairs, about 2.6 times
+# more per level; level 16 takes seconds, level 20 would take minutes
+MAX_COEFFICIENT_LEVEL = 16
 
 SUITES = (
     "fib-properties",
@@ -210,6 +213,8 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     needs_factor = kind in ("occurrences", "returns", "derived")
     if needs_factor and args.word is None:
         parser.error(f"analyze {kind} requires --word")
+    if kind == "balanced" and args.max_window < 1:
+        parser.error("--max-window must be >= 1")
     subject, horizon = _resolve_subject(args, parser, needs_factor)
     standalone = isinstance(subject, Word)
 
@@ -547,8 +552,8 @@ def _suite_golden_sign(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
 
 
 def _suite_parikh_membership(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
-    bound = args.max or 60
-    horizon = args.horizon or 10**4
+    bound = 60 if args.max is None else args.max
+    horizon = 10**4 if args.horizon is None else args.horizon
     text = Text(fibonacci_sequence(), horizon)
     is_a = text.codes == text.alphabet.index("a")
     sums = np.concatenate([[0], np.cumsum(is_a, dtype=np.int64)])
@@ -577,6 +582,9 @@ def _suite_parikh_membership(args: argparse.Namespace) -> list[tuple[str, bool, 
 
 def _suite_coefficient_bounds(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     lo, hi = _parse_span(args.n or "1..10")
+    if hi > MAX_COEFFICIENT_LEVEL:
+        raise ValueError(f"--n level {hi} exceeds {MAX_COEFFICIENT_LEVEL}; the pair "
+                         "enumeration grows about 2.6 times per level")
     checks = []
     for n in range(lo, hi + 1):
         cert = coefficient_lower_bounds(n)
@@ -592,8 +600,8 @@ def _suite_coefficient_bounds(args: argparse.Namespace) -> list[tuple[str, bool,
 
 def _suite_return_words(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     lo, hi = _parse_span(args.n or "1..15")
-    horizon = args.horizon or 10**5
-    max_len = args.max_len or 50
+    horizon = 10**5 if args.horizon is None else args.horizon
+    max_len = 50 if args.max_len is None else args.max_len
     snap = Text(fibonacci_sequence(), horizon)
     checks = []
     for n in range(lo, hi + 1):
@@ -635,8 +643,8 @@ def _suite_return_words(args: argparse.Namespace) -> list[tuple[str, bool, str]]
 
 def _suite_divisibility(args: argparse.Namespace) -> list[tuple[str, bool, str]]:
     deltas = [args.delta] if args.delta is not None else [2, 3, 4]
-    horizon = args.horizon or 2 * 10**5
-    max_len = args.max_len or 250
+    horizon = 2 * 10**5 if args.horizon is None else args.horizon
+    max_len = 250 if args.max_len is None else args.max_len
     lengths = fibonacci_bispecial_lengths(max_len)
     checks = []
     for delta in deltas:
@@ -709,6 +717,11 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         "divisibility": _suite_divisibility,
         "self-similarity": _suite_self_similarity,
     }
+    for option, value in (("--max", args.max), ("--horizon", args.horizon),
+                          ("--samples", args.samples), ("--max-len", args.max_len),
+                          ("--letters", args.letters)):
+        if value is not None and value < 1:
+            parser.error(f"{option} must be >= 1")
     try:
         checks = runners[args.suite](args)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,55 @@ def brute_force_max_exponent(text: str) -> Fraction:
                 length += 1
             best = max(best, Fraction(length, period))
     return best
+
+
+def brute_force_power_witness(text, min_period, max_period):
+    """Cubic reference scan: (exponent, period, position) of the highest power
+    with period in [min_period, max_period]; ties go to the smaller period,
+    then the earlier position.
+    """
+    n = len(text)
+    candidates = []
+    for period in range(min_period, max_period + 1):
+        for start in range(n - period):
+            run = 0
+            while start + period + run < n and text[start + run] == text[start + period + run]:
+                run += 1
+            candidates.append((-Fraction(run + period, period), period, start))
+    exponent, period, start = min(candidates)
+    return -exponent, period, start
+
+
+def unpruned_max_power(letters, min_period, max_period, progress):
+    """The period scan without pruning: the longest run of every period is
+    located in full. Returns (exponent, period, position).
+    """
+    _, arr = np.unique(letters, return_inverse=True)
+    best_exp, best_period, best_pos = Fraction(0), min_period, 0
+    total = max_period - min_period + 1
+    step = max(1, total // 20)
+    for i, p in enumerate(range(min_period, max_period + 1)):
+        if i % step == 0:
+            progress(i, total)
+        eq = arr[p:] == arr[:-p]
+        mismatches = np.flatnonzero(~eq)
+        if mismatches.size == 0:
+            run, pos = eq.size, 0
+        else:
+            runs = np.empty(mismatches.size + 1, dtype=np.int64)
+            runs[0] = mismatches[0]
+            runs[1:-1] = np.diff(mismatches) - 1
+            runs[-1] = eq.size - mismatches[-1] - 1
+            starts = np.empty(mismatches.size + 1, dtype=np.int64)
+            starts[0] = 0
+            starts[1:] = mismatches + 1
+            k = int(np.argmax(runs))
+            run, pos = int(runs[k]), int(starts[k])
+        exponent = Fraction(run + p, p)
+        if exponent > best_exp:
+            best_exp, best_period, best_pos = exponent, p, pos
+    progress(total, total)
+    return best_exp, best_period, best_pos
 
 
 def test_occurrences_against_naive_scan(fib_text):
@@ -123,6 +173,12 @@ def test_is_balanced_witness_letter_in_sorted_order():
     assert report.witness.letter == "a"
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_is_balanced_rejects_empty_window(window):
+    with pytest.raises(ValueError, match="max_window"):
+        is_balanced("abaab", max_window=window)
+
+
 def test_is_balanced_colouring_small():
     for delta in (2, 3):
         assert is_balanced(colouring(delta), 3000, max_window=80).balanced
@@ -187,6 +243,45 @@ def test_max_power_matches_brute_force(text):
         chunk[i] == chunk[i - record.period]
         for i in range(record.period, len(chunk))
     )
+
+
+@st.composite
+def scan_windows(draw):
+    """A 2-40 letter text over 2-4 letters, either random or a periodic text
+    with a few letters changed (long runs and ties), and a period window.
+    """
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        letters = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    else:
+        root = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
+        letters = (root * n)[:n]
+        for _ in range(draw(st.integers(0, 3))):
+            letters[draw(st.integers(0, n - 1))] = draw(st.sampled_from(alphabet))
+    lo = draw(st.integers(1, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    return "".join(letters), lo, hi
+
+
+@given(window=scan_windows())
+@settings(max_examples=400, deadline=None)
+def test_pruned_scan_matches_brute_force_witness(window):
+    text, lo, hi = window
+    record = max_fractional_power(text, min_period=lo, max_period=hi)
+    got = (record.exponent, record.period, record.position)
+    assert got == brute_force_power_witness(text, lo, hi)
+
+
+def test_pruned_scan_matches_unpruned_scan():
+    # the best exponent is set early, so most of these periods are pruned
+    letters = colouring(3).letters(5000)
+    want_calls, got_calls = [], []
+    want = unpruned_max_power(letters, 50, 400, lambda *call: want_calls.append(call))
+    record = max_fractional_power(letters, None, 50, 400,
+                                  progress=lambda *call: got_calls.append(call))
+    assert (record.exponent, record.period, record.position) == want
+    assert got_calls == want_calls
 
 
 def test_sufficiently_coloured():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -95,6 +96,14 @@ def test_analyze_balanced_word_witness(capsys):
     assert code == 1
     assert "balanced: false" in out
     assert "windows of length 2" in out
+
+
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_analyze_balanced_rejects_empty_window(capsys, window):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "balanced", "--word", "abaab", "--max-window", window])
+    assert excinfo.value.code == 2
+    assert "--max-window must be >= 1" in capsys.readouterr().err
 
 
 def test_analyze_power_word(capsys):
@@ -272,6 +281,29 @@ def test_verify_json_shape(capsys):
     assert doc["passed"] is True
     assert doc["failures"] == 0
     assert all(check["passed"] for check in doc["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "divisibility", "--delta", "2", "--max-len", "0"],
+    ["--suite", "golden-sign", "--samples", "-1"],
+    ["--suite", "parikh-membership", "--max", "-1"],
+    ["--suite", "self-similarity", "--letters", "0"],
+    ["--suite", "return-words", "--horizon", "0"],
+])
+def test_verify_rejects_nonpositive_options(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", *argv])
+    assert excinfo.value.code == 2
+    assert f"{argv[-2]} must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_coefficient_bounds_level_cap(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "coefficient-bounds", "--n", "40..40"])
+    assert excinfo.value.code == 2
+    assert "exceeds 16" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_unknown_suite(capsys):
