@@ -327,12 +327,12 @@ def _marker(bound: GoldenNumber, known: tuple[int, int, int, int]) -> str:
 
     With bound = (P + Q*sqrt5)/S and known = (p + q*sqrt(r))/s, the sign of
     bound - known is that of u + v for u = (Ps - pS) + Qs*sqrt5 and
-    v = -qS*sqrt(r). When u and v differ in sign, the sign of u^2 - v^2
-    decides which one dominates; both signs are exact.
+    v = -qS*sqrt(r), which is 0 when r = 0. When u and v differ in sign,
+    the sign of u^2 - v^2 decides which one dominates; both signs are exact.
     """
     big_p, big_q, _, big_s = bound.surd()
     p, q, r, s = known
-    a, b, c = big_p * s - p * big_s, big_q * s, -q * big_s
+    a, b, c = big_p * s - p * big_s, big_q * s, -q * big_s if r else 0
     u, v = sqrt5_sign(a, b), (c > 0) - (c < 0)
     if u * v < 0:
         u *= sqrt5_sign(a * a + 5 * b * b - c * c * r, 2 * a * b)

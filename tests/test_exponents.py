@@ -274,6 +274,7 @@ def marker_cases(draw):
 @example((GoldenNumber(Fraction(5, 4)), (5, 0, 0, 4)))
 @example((GoldenNumber(Fraction(5, 4)), (0, 5, 1, 4)))
 @example((GoldenNumber(2), (0, 1, 4, 1)))
+@example((GoldenNumber(0), (0, 1, 0, 1)))
 def test_marker_sign_against_interval_brackets(case):
     bound, known = case
     assert _marker(bound, known) == bracket_marker(bound, known)
