@@ -61,16 +61,6 @@ DEFAULT_MAX_HORIZON = 10**7
 # more per level; level 16 takes seconds, level 20 would take minutes
 MAX_COEFFICIENT_LEVEL = 16
 
-SUITES = (
-    "fib-properties",
-    "golden-sign",
-    "parikh-membership",
-    "coefficient-bounds",
-    "return-words",
-    "divisibility",
-    "self-similarity",
-)
-
 
 def _check_guard(parser: argparse.ArgumentParser, option: str, value: int) -> None:
     """Usage error when `value` exceeds SEQLAB_MAX_HORIZON (default 10^7) or
@@ -88,6 +78,16 @@ def _check_guard(parser: argparse.ArgumentParser, option: str, value: int) -> No
     if value > limit:
         parser.error(f"{option} exceeds the guard ({limit}); "
                      "set SEQLAB_MAX_HORIZON to raise it")
+
+
+def _check_minimums(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, minimums: dict[str, int]
+) -> None:
+    """Usage error when an option that was given is below its minimum."""
+    for option, minimum in minimums.items():
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value is not None and value < minimum:
+            parser.error(f"{option} must be >= {minimum}")
 
 
 def _quote(word: Word) -> str:
@@ -187,8 +187,6 @@ def _resolve_subject(
 ) -> tuple[SequenceGenerator | Word, int]:
     """Pick the sequence (or standalone word) to analyze, and the horizon."""
     horizon = args.horizon
-    if horizon < 1:
-        parser.error("--horizon must be >= 1")
     _check_guard(parser, "--horizon", horizon)
     if args.delta is not None and not 1 <= args.delta <= 9:
         parser.error("--delta must be in 1..9")
@@ -215,6 +213,9 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error(f"analyze {kind} requires --word")
     if kind == "balanced" and args.max_window < 1:
         parser.error("--max-window must be >= 1")
+    # --max-len 0 is valid: the empty word is the only factor that short
+    _check_minimums(parser, args, {"--horizon": 1, "--min-period": 1,
+                                   "--max-period": 1, "--max-len": 0})
     subject, horizon = _resolve_subject(args, parser, needs_factor)
     standalone = isinstance(subject, Word)
 
@@ -359,7 +360,7 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
         # power
         if standalone:
-            max_period = args.max_period or len(subject) - 1
+            max_period = len(subject) - 1 if args.max_period is None else args.max_period
             record = max_fractional_power(
                 subject, None, args.min_period, max_period
             )
@@ -707,23 +708,23 @@ def _suite_self_similarity(args: argparse.Namespace) -> list[tuple[str, bool, st
     return checks
 
 
+# in the order --help lists them
+SUITES = {
+    "fib-properties": _suite_fib_properties,
+    "golden-sign": _suite_golden_sign,
+    "parikh-membership": _suite_parikh_membership,
+    "coefficient-bounds": _suite_coefficient_bounds,
+    "return-words": _suite_return_words,
+    "divisibility": _suite_divisibility,
+    "self-similarity": _suite_self_similarity,
+}
+
+
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    runners = {
-        "fib-properties": _suite_fib_properties,
-        "golden-sign": _suite_golden_sign,
-        "parikh-membership": _suite_parikh_membership,
-        "coefficient-bounds": _suite_coefficient_bounds,
-        "return-words": _suite_return_words,
-        "divisibility": _suite_divisibility,
-        "self-similarity": _suite_self_similarity,
-    }
-    for option, value in (("--max", args.max), ("--horizon", args.horizon),
-                          ("--samples", args.samples), ("--max-len", args.max_len),
-                          ("--letters", args.letters)):
-        if value is not None and value < 1:
-            parser.error(f"{option} must be >= 1")
+    _check_minimums(parser, args, {"--max": 1, "--horizon": 1, "--samples": 1,
+                                   "--max-len": 1, "--letters": 1})
     try:
-        checks = runners[args.suite](args)
+        checks = SUITES[args.suite](args)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -808,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run a named check suite")
-    p_ver.add_argument("--suite", required=True, choices=SUITES)
+    p_ver.add_argument("--suite", required=True, choices=list(SUITES))
     p_ver.add_argument("--n", help="index range A..B (or a bare upper index)")
     p_ver.add_argument("--max", type=int, help="coefficient ceiling "
                                                "(parikh-membership)")

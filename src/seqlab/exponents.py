@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .analysis import RepetitionRecord, max_fractional_power
 from .golden import ONE, GoldenNumber, fib, sqrt5_sign, surd_decimal, tau_pow
-from .words import SequenceGenerator, colouring
+from .words import ColouringGenerator, SequenceGenerator, colouring
 
 
 class RatioEntry(NamedTuple):
@@ -218,49 +218,20 @@ def repetitive_threshold_bound(d: int) -> GoldenNumber:
     return value
 
 
-class SplitLetterGenerator(SequenceGenerator):
-    """Replace occurrences of one letter alternately with two fresh letters."""
-
-    def __init__(
-        self,
-        base: SequenceGenerator,
-        target: str,
-        fresh: tuple[str, str] = ("A", "B"),
-        probe_horizon: int = 4096,
-    ) -> None:
-        super().__init__()
-        if fresh[0] == fresh[1]:
-            raise ValueError("fresh letters must differ")
-        if target not in base.letters(probe_horizon):
-            raise ValueError(
-                f"letter {target!r} does not occur in the first {probe_horizon} letters"
-            )
-        self.base = base
-        self.target = target
-        self.fresh = fresh
-        self._parity = 0
-
-    def _extend(self, n: int) -> None:
-        start = len(self._buf)
-        buf = self._buf
-        for tok in self.base.letters(n)[start:]:
-            if tok == self.target:
-                buf.append(self.fresh[self._parity])
-                self._parity ^= 1
-            else:
-                buf.append(tok)
+# the split target must occur this early in the base
+SPLIT_PROBE = 4096
+SPLIT_LETTERS = ("A", "B")
 
 
-def split_letter(
-    base: SequenceGenerator,
-    target: str,
-    fresh: tuple[str, str] = ("A", "B"),
-) -> SplitLetterGenerator:
-    """Alternating split of one letter into two; takes a d-letter balanced
-    sequence to a (d+1)-letter balanced one without raising the asymptotic
-    critical exponent.
+def split_letter(base: SequenceGenerator, target: str) -> ColouringGenerator:
+    """Alternating split of one letter into two: the base recoloured
+    letter-wise with period ("A", "B") for `target` and (c,) for every other
+    letter c. Takes a d-letter balanced sequence to a (d+1)-letter balanced
+    one without raising the asymptotic critical exponent.
     """
-    return SplitLetterGenerator(base, target, fresh)
+    if target not in base.letters(SPLIT_PROBE):
+        raise ValueError(f"letter {target!r} does not occur in the first {SPLIT_PROBE} letters")
+    return ColouringGenerator(base, lambda c: SPLIT_LETTERS if c == target else (c,))
 
 
 def empirical_asymptotic_estimate(

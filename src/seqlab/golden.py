@@ -220,19 +220,6 @@ class GoldenNumber:
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
 
-    @property
-    def is_rational(self) -> bool:
-        return self._b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self._b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self._a
-
-    def __float__(self) -> float:
-        # display/estimation only; never used for decisions
-        return float(self._a) + float(self._b) * (1 + math.sqrt(5)) / 2
-
     def surd(self) -> tuple[int, int, int, int]:
         """Integers (p, q, 5, s), s > 0, with self = (p + q*sqrt(5)) / s."""
         den = math.lcm(self._a.denominator, self._b.denominator)

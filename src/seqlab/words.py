@@ -10,7 +10,8 @@ anything else serializes space-separated ("1 1' 3 2 3'").
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import cycle
 
 
 def coloured_letter(index: int, hatted: bool = False) -> str:
@@ -178,8 +179,10 @@ class SequenceGenerator:
 
     Prefixes are memoized in one growing buffer, so prefix(m) is always a
     prefix of prefix(n) for m <= n and repeated calls return identical
-    content. Extension is single-writer (not thread-safe); the lists handed
-    out by letters() are copies and safe to share.
+    content. _extend(n) grows the buffer in place to at least n letters;
+    a generator built on another reads that one's buffer after _ensure(n)
+    instead of copying it. Extension is single-writer (not thread-safe);
+    the lists handed out by letters() are copies and safe to share.
     """
 
     def __init__(self) -> None:
@@ -242,25 +245,16 @@ class PeriodicGenerator(SequenceGenerator):
         self.period = period
         self._period_letters = period.letters()
 
+    @property
+    def period_length(self) -> int:
+        return len(self._period_letters)
+
     def _extend(self, n: int) -> None:
         rounds = -(-(n - len(self._buf)) // len(self._period_letters))
         self._buf.extend(self._period_letters * rounds)
 
 
-class ConstantGapSequence(PeriodicGenerator):
-    """y_delta: the canonical constant-gap sequence over delta letters."""
-
-    def __init__(self, period: Word, delta: int, hatted: bool) -> None:
-        super().__init__(period)
-        self.delta = delta
-        self.hatted = hatted
-
-    @property
-    def period_length(self) -> int:
-        return len(self.period)
-
-
-def constant_gap(delta: int, hatted: bool = False) -> ConstantGapSequence:
+def constant_gap(delta: int, hatted: bool = False) -> PeriodicGenerator:
     """Build y_delta (period 2^(delta-1)): start from 1^w, then for each new
     letter k stretch the current sequence onto the even positions and put k
     on every odd position. Every letter ends up in an arithmetic progression.
@@ -277,61 +271,47 @@ def constant_gap(delta: int, hatted: bool = False) -> ConstantGapSequence:
         period = stretched
     if hatted:
         period = [tok + "'" for tok in period]
-    return ConstantGapSequence(Word(period), delta, hatted)
+    return PeriodicGenerator(Word(period))
+
+
+class _Streams(dict):
+    """letter -> endless cycle over its period, built when the letter first
+    appears."""
+
+    def __init__(self, periods: Callable[[str], Sequence[str]]) -> None:
+        super().__init__()
+        self._periods = periods
+
+    def __missing__(self, letter: str) -> Iterator[str]:
+        period = tuple(self._periods(letter))
+        if not period:
+            # next() on an empty cycle would end the map in _extend silently
+            raise ValueError(f"empty period for letter {letter!r}")
+        stream = self[letter] = cycle(period)
+        return stream
 
 
 class ColouringGenerator(SequenceGenerator):
-    """Recolour a binary sequence: the subsequence of a's is overwritten by
-    one letter stream and the subsequence of b's by another, each consumed
-    left to right with its own cursor.
+    """Letter-wise recolouring of a base sequence.
+
+    The k-th occurrence (k = 0, 1, ...) of letter c in `base` becomes
+    periods(c)[k mod len(periods(c))]: each letter of the base is overwritten
+    by the next letter of its own periodic stream. `colouring`, `discolour`
+    and `exponents.split_letter` are this one operation with different
+    periods. periods(c) is called once per distinct letter, when c first
+    appears; an empty period is a ValueError.
     """
 
-    def __init__(
-        self,
-        base: SequenceGenerator,
-        plain: SequenceGenerator,
-        hat: SequenceGenerator,
-    ) -> None:
+    def __init__(self, base: SequenceGenerator, periods: Callable[[str], Sequence[str]]) -> None:
         super().__init__()
         self.base = base
-        self.plain = plain
-        self.hat = hat
-        self._taken_plain = 0
-        self._taken_hat = 0
+        self._streams = _Streams(periods)
 
     def _extend(self, n: int) -> None:
-        start = len(self._buf)
-        base_letters = self.base.letters(n)
-        segment = base_letters[start:n]
-        need_plain = self._taken_plain + segment.count("a")
-        need_hat = self._taken_hat + segment.count("b")
-        plain_letters = self.plain.letters(need_plain)
-        hat_letters = self.hat.letters(need_hat)
-        buf = self._buf
-        i, j = self._taken_plain, self._taken_hat
-        for c in segment:
-            if c == "a":
-                buf.append(plain_letters[i])
-                i += 1
-            elif c == "b":
-                buf.append(hat_letters[j])
-                j += 1
-            else:
-                raise ValueError(f"colouring expects letters 'a'/'b', got {c!r}")
-        self._taken_plain, self._taken_hat = i, j
-
-
-class MappedGenerator(SequenceGenerator):
-    """Letter-by-letter image of another generator."""
-
-    def __init__(self, base: SequenceGenerator, mapping: Callable[[str], str]) -> None:
-        super().__init__()
-        self.base = base
-        self.mapping = mapping
-
-    def _extend(self, n: int) -> None:
-        start = len(self._buf)
-        self._buf.extend(map(self.mapping, self.base.letters(n)[start:]))
+        # read the base's buffer in place; letters(n) would copy its prefix
+        self.base._ensure(n)
+        segment = self.base._buf[len(self._buf):n]
+        self._buf.extend(map(next, map(self._streams.__getitem__, segment)))
 
 
 def fixed_point(morphism: Morphism, seed: str) -> FixedPointGenerator:
@@ -344,22 +324,26 @@ def fibonacci_sequence() -> FixedPointGenerator:
 
 
 def colouring(delta: int) -> ColouringGenerator:
-    """v_delta: the Fibonacci word coloured by y_delta and its hatted twin.
+    """v_delta: the Fibonacci word with its k-th a replaced by letter k of
+    y_delta and its k-th b by letter k of the hatted twin of y_delta.
 
     The result is over 2*delta letters and stays balanced; forgetting the
     colours (discolour) recovers the Fibonacci word exactly.
     """
-    return ColouringGenerator(
-        fibonacci_sequence(),
-        constant_gap(delta),
-        constant_gap(delta, hatted=True),
-    )
+    periods = {
+        "a": constant_gap(delta).period.letters(),
+        "b": constant_gap(delta, hatted=True).period.letters(),
+    }
+    return ColouringGenerator(fibonacci_sequence(), periods.__getitem__)
 
 
 def discolour(source: Word | SequenceGenerator) -> Word | SequenceGenerator:
-    """Project back onto {a, b}: plain letters to a, hatted letters to b."""
+    """Project back onto {a, b}: plain letters to a, hatted letters to b.
+    A generator is recoloured letter-wise with the one-letter periods
+    (discolour_letter(c),).
+    """
     if isinstance(source, Word):
         return Word(discolour_letter(tok) for tok in source)
     if isinstance(source, SequenceGenerator):
-        return MappedGenerator(source, discolour_letter)
+        return ColouringGenerator(source, lambda letter: (discolour_letter(letter),))
     raise TypeError(f"cannot discolour {type(source).__name__}")

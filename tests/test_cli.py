@@ -106,6 +106,18 @@ def test_analyze_balanced_rejects_empty_window(capsys, window):
     assert "--max-window must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["power", "--word", "abcab", "--min-period", "0"], "--min-period must be >= 1"),
+    (["power", "--word", "abcab", "--max-period", "0"], "--max-period must be >= 1"),
+    (["bispecial", "--word", "abaab", "--max-len", "-1"], "--max-len must be >= 0"),
+])
+def test_analyze_rejects_options_below_minimum(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", *argv])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_power_word(capsys):
     code, out = run(capsys, "analyze", "power", "--word", "kabelka")
     assert code == 0

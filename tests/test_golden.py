@@ -1,11 +1,14 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqlab
 from seqlab.golden import (
     ONE,
     TAU,
@@ -174,3 +177,38 @@ def test_verify_fib_properties():
     assert report.failures == {}
     with pytest.raises(ValueError):
         verify_fib_properties(1)
+
+
+def floating_point_uses(tree: ast.AST) -> list[str]:
+    """float(...) calls, math.sqrt, and imports of decimal in one module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float":
+            found.append(f"float call at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "sqrt" \
+                and isinstance(node.value, ast.Name) and node.value.id == "math":
+            found.append(f"math.sqrt at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" \
+                and any(alias.name == "sqrt" for alias in node.names):
+            found.append(f"math.sqrt import at line {node.lineno}")
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "decimal" for alias in node.names):
+            found.append(f"decimal import at line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "decimal":
+            found.append(f"decimal import at line {node.lineno}")
+    return found
+
+
+def test_no_floating_point_in_source():
+    # the README's claim: no decision in seqlab touches floating point
+    sources = sorted(Path(seqlab.__file__).parent.glob("*.py"))
+    assert sources
+    found = {
+        path.name: uses
+        for path in sources
+        if (uses := floating_point_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+    with pytest.raises(TypeError):
+        float(GoldenNumber(1, 1))

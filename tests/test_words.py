@@ -1,10 +1,14 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.words import (
     FIBONACCI_MORPHISM,
+    ColouringGenerator,
     Morphism,
+    PeriodicGenerator,
     Word,
     coloured_letter,
     colouring,
@@ -158,3 +162,59 @@ def test_colouring_prefix_consistency(n, m):
     gen = colouring(2)
     small, large = sorted((n, m))
     assert gen.prefix(large).startswith(gen.prefix(small))
+
+
+def recoloured(base: list[str], periods: dict[str, tuple[str, ...]]) -> list[str]:
+    """The definition letter by letter: the k-th c becomes periods[c][k mod len]."""
+    seen: Counter[str] = Counter()
+    out = []
+    for c in base:
+        period = periods[c]
+        out.append(period[seen[c] % len(period)])
+        seen[c] += 1
+    return out
+
+
+@given(
+    base=st.lists(st.sampled_from("abc"), min_size=1, max_size=12),
+    periods=st.fixed_dictionaries({
+        c: st.lists(st.sampled_from(["a", "1", "2'", "x"]), min_size=1, max_size=5).map(tuple)
+        for c in "abc"
+    }),
+    growth=st.lists(st.tuples(st.booleans(), st.integers(0, 150)), max_size=8),
+)
+@settings(max_examples=150)
+def test_colouring_generator_matches_definition(base, periods, growth):
+    calls = []
+
+    def period_of(c):
+        calls.append(c)
+        return periods[c]
+
+    source = PeriodicGenerator(Word(base))
+    gen = ColouringGenerator(source, period_of)
+    want = recoloured(base * 160, periods)
+    # grow the recolouring and, in between, its base ahead of it, in any order
+    for grow_base, n in growth:
+        if grow_base:
+            source.letters(n)
+        else:
+            assert gen.letters(n) == want[:n]
+    assert gen.prefix(150) == Word(want[:150])
+    assert sorted(calls) == sorted(set(base))
+
+
+@pytest.mark.parametrize("delta", range(1, 10))
+def test_colouring_matches_definition(delta):
+    periods = {
+        "a": constant_gap(delta).period.letters(),
+        "b": constant_gap(delta, hatted=True).period.letters(),
+    }
+    want = recoloured(fibonacci_sequence().letters(10**4), periods)
+    assert colouring(delta).letters(10**4) == want
+
+
+def test_colouring_generator_rejects_empty_period():
+    gen = ColouringGenerator(fibonacci_sequence(), {"a": ("1",), "b": ()}.__getitem__)
+    with pytest.raises(ValueError, match="empty period for letter 'b'"):
+        gen.letters(10)
