@@ -362,3 +362,119 @@ def test_output_to_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "abaab\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--word", "abcab", "--min-period", "3", "--max-period", "2"],
+     "--min-period 3 is above --max-period 2"),
+    # the default --max-period of a sequence is horizon // 2 = 50
+    (["--delta", "2", "--horizon", "100", "--min-period", "80"],
+     "--min-period 80 is above --max-period 50"),
+])
+def test_analyze_power_inconsistent_window_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", "power", *argv])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--word", "abcab", "--max-period", "10"],
+    ["--word", "abc", "--min-period", "5"],
+])
+def test_analyze_power_window_past_the_word_fails_the_analysis(capsys, argv):
+    code = main(["analyze", "power", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: need 1 <= min_period <= max_period")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["occurrences", "returns", "derived"])
+def test_analyze_rejects_empty_word(capsys, kind):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", kind, "--word", "", "--horizon", "10"])
+    assert excinfo.value.code == 2
+    assert "--word must be nonempty" in capsys.readouterr().err
+
+
+def test_analyze_rejects_malformed_word(capsys):
+    assert run_usage_error(capsys, "analyze", "power", "--word", "'ab") == 2
+
+
+@pytest.mark.parametrize("env, argv", [
+    # self-similarity at level 10 with 100 letters needs a horizon of 14,864
+    ("1000", ["--suite", "self-similarity", "--n", "10"]),
+    # the default horizons of 10^4, 10^5 and 2*10^5
+    ("5000", ["--suite", "parikh-membership", "--max", "5"]),
+    ("5000", ["--suite", "return-words", "--n", "1..2", "--max-len", "2"]),
+    ("5000", ["--suite", "divisibility", "--delta", "2", "--max-len", "5"]),
+    # under the default guard of 10^7: 1.25*10^7 letters, and far more at level 40
+    (None, ["--suite", "self-similarity", "--n", "24"]),
+    (None, ["--suite", "self-similarity", "--n", "40"]),
+])
+def test_verify_guard_covers_every_suite_horizon(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("SEQLAB_MAX_HORIZON", raising=False)
+    else:
+        monkeypatch.setenv("SEQLAB_MAX_HORIZON", env)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert "above the guard" in captured.err
+    assert captured.out == ""
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_levels_start_at_one(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "return-words", "--n", "0..2",
+              "--horizon", "2000", "--max-len", "3"])
+    assert excinfo.value.code == 2
+    assert "levels must satisfy 1 <= lo <= hi, got 0..2" in capsys.readouterr().err
+
+
+def test_verify_fib_properties_names_its_lower_limit(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "fib-properties", "--n", "1"])
+    assert excinfo.value.code == 2
+    assert "n_max must be at least 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, option, value", [
+    ("golden-sign", "--n", "5"),
+    ("fib-properties", "--horizon", "100"),
+    ("coefficient-bounds", "--samples", "3"),
+    ("self-similarity", "--delta", "2"),
+    ("parikh-membership", "--letters", "4"),
+    ("divisibility", "--seed", "1"),
+    ("return-words", "--max", "3"),
+])
+def test_verify_rejects_an_option_the_suite_does_not_take(capsys, suite, option, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", suite, option, value])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert f"--suite {suite} does not take {option}" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_divisibility_takes_repeated_deltas(capsys):
+    code, out = run(capsys, "verify", "--suite", "divisibility", "--delta", "2",
+                    "--delta", "3", "--horizon", "3000", "--max-len", "20")
+    assert code == 0
+    assert "ok: delta=2: " in out and "ok: delta=3: " in out
+    assert "delta=4" not in out
+
+
+def test_verify_json_to_file(capsys, tmp_path):
+    target = tmp_path / "checks.json"
+    code, out = run(capsys, "verify", "--suite", "fib-properties", "--n", "10",
+                    "--format", "json", "--output", str(target))
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text())["passed"] is True

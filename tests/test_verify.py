@@ -1,0 +1,98 @@
+"""The check suites of seqlab.verify, called directly with keyword arguments."""
+
+import ast
+import re
+import time
+from pathlib import Path
+
+import pytest
+
+from seqlab import verify
+from seqlab.analysis import fibonacci_bispecial
+from seqlab.golden import fib
+
+SMALL = {
+    "fib-properties": dict(levels=(1, 30)),
+    "golden-sign": dict(samples=20, seed=3),
+    "parikh-membership": dict(max_coefficient=10, horizon=500),
+    "coefficient-bounds": dict(levels=(1, 5)),
+    "return-words": dict(levels=(2, 5), horizon=2000, max_len=6),
+    "divisibility": dict(deltas=(2, 3), horizon=3000, max_len=20),
+    "self-similarity": dict(levels=(1, 4), letters=20),
+}
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_every_check_passes_with_small_arguments(name):
+    checks = verify.SUITES[name](**SMALL[name])
+    assert checks
+    assert all(passed for _, passed, _ in checks), checks
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("fib-properties", dict(levels=(1, 1)), "n_max must be at least 2"),
+    ("fib-properties", dict(levels=(0, 30)), "levels must satisfy"),
+    ("return-words", dict(levels=(0, 2), horizon=100, max_len=3), "levels must satisfy"),
+    ("self-similarity", dict(levels=(3, 2)), "levels must satisfy"),
+    ("coefficient-bounds", dict(levels=(1, 17)), "level 17 exceeds 16"),
+    ("golden-sign", dict(samples=0), "samples must be >= 1"),
+    ("parikh-membership", dict(max_coefficient=0), "max_coefficient must be >= 1"),
+    ("parikh-membership", dict(horizon=-3), "horizon must be >= 1"),
+    ("return-words", dict(max_len=0), "max_len must be >= 1"),
+    ("divisibility", dict(horizon=0), "horizon must be >= 1"),
+    ("divisibility", dict(deltas=(10,), horizon=100, max_len=5), "delta must be in 1..9"),
+    ("self-similarity", dict(letters=0), "letters must be >= 1"),
+])
+def test_out_of_range_arguments_raise(name, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify.SUITES[name](**kwargs)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("parikh-membership", {}),  # default horizon 10^4
+    ("return-words", {}),  # default horizon 10^5
+    ("divisibility", {}),  # default horizon 2*10^5
+    ("return-words", dict(levels=(1, 40), horizon=100)),  # the level-40 factor itself
+    ("self-similarity", dict(levels=(1, 40))),
+])
+def test_guard_refuses_before_any_work(name, kwargs):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above the guard"):
+        verify.SUITES[name](max_horizon=5000, **kwargs)
+    assert time.perf_counter() - start < 1
+
+
+def _largest_horizon(checks) -> int:
+    return max(int(detail.rsplit(" ", 1)[1]) for _, _, detail in checks)
+
+
+def test_self_similarity_guard_is_exact():
+    checks = verify.self_similarity_suite(levels=(1, 5), letters=30)
+    # the horizon the suite reports is the one the old code used
+    for n, (_, _, detail) in enumerate(checks, start=1):
+        want = 30 * fib(n + 2) + len(fibonacci_bispecial(n).word) + fib(n + 3)
+        assert detail == f"30 letters via horizon {want}"
+    largest = _largest_horizon(checks)
+    assert verify.self_similarity_suite(levels=(1, 5), letters=30,
+                                        max_horizon=largest) == checks
+    with pytest.raises(ValueError, match=f"would build {largest} letters"):
+        verify.self_similarity_suite(levels=(1, 5), letters=30, max_horizon=largest - 1)
+
+
+def test_guard_admits_a_horizon_at_the_limit():
+    kwargs = dict(max_coefficient=5, horizon=300)
+    assert verify.parikh_membership_suite(max_horizon=300, **kwargs)[0][1]
+    with pytest.raises(ValueError, match="above the guard"):
+        verify.parikh_membership_suite(max_horizon=299, **kwargs)
+
+
+def test_suites_do_not_depend_on_the_command_line():
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+    assert "argparse" not in imported
+    assert not {"cli", "seqlab.cli"} & imported
