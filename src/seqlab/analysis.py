@@ -9,9 +9,14 @@ horizons should be generous relative to the factor lengths involved
 twice the largest gap seen).
 
 A Text codes each letter by its rank of first appearance, once, both as a
-numpy array and as a str for C-speed substring search. Exponents and counts
+numpy array and as a str for C-speed substring search; its letters are a
+tuple, so a factor or return word is one slice of it. Exponents and counts
 are exact (ints and Fractions); numpy holds the letter codes, boolean
-mismatch masks and integer window sums.
+mismatch masks, integer window sums and int32 suffix ranks and LCPs.
+
+`bispecial_factors` reads the bispecial factors off the suffix array and LCP
+array (Kasai et al. 2001) as lcp-intervals (Abouelhoda, Kurtz and Ohlebusch
+2004) with two right and two left letters.
 
 The period scan of `max_fractional_power` locates runs only on periods that
 can beat the best exponent found so far: whether the agreement mask of a
@@ -39,7 +44,7 @@ from .words import (
 class Text:
     """One encoded snapshot of a sequence, built once and shared.
 
-    `letters` is the snapshot, `alphabet` its letters in order of first
+    `letters` is the snapshot as a tuple, `alphabet` its letters in order of first
     appearance, `codes` each letter's rank in that alphabet (numpy, the
     smallest unsigned dtype that holds every rank) and `string` the same
     ranks as a str of chr(rank), for str.find. Constructing a Text from a
@@ -56,11 +61,9 @@ class Text:
         if isinstance(source, SequenceGenerator):
             if horizon is None:
                 raise ValueError("horizon is required when analysing a generator")
-            letters = source.letters(horizon)
+            letters = tuple(source.letters(horizon))
         else:
-            letters = list(source)
-            if horizon is not None:
-                del letters[horizon:]
+            letters = tuple(source)[:horizon]
         self = super().__new__(cls)
         self.letters = letters
         self.alphabet = tuple(dict.fromkeys(letters))
@@ -83,9 +86,6 @@ class Text:
             return "".join([chr(self._rank[tok]) for tok in word])
         except KeyError:
             return None
-
-    def decode(self, coded: str) -> Word:
-        return Word(self.alphabet[ord(ch)] for ch in coded)
 
 
 Source = SequenceGenerator | Word | Text | Sequence[str] | str
@@ -177,24 +177,24 @@ def _positions(factor: Word, text: Text) -> list[int]:
     return positions
 
 
-def _return_walk(factor: Word, text: Text) -> tuple[int, list[str], list[int], list[int]]:
+def _return_walk(factor: Word, text: Text) -> tuple[int, list[tuple[int, int]], list[int]]:
     """One walk over the occurrences of `factor`: the number of occurrences,
-    the distinct gaps between consecutive ones (coded, by first appearance),
-    the end of each gap's first appearance, and the gap index of every step.
+    the (start, end) of the first appearance of each distinct gap between
+    consecutive ones, in order, and the gap index of every step.
     """
     positions = _positions(factor, text)
     index: dict[str, int] = {}
-    first_ends: list[int] = []
+    firsts: list[tuple[int, int]] = []
     walk: list[int] = []
     string = text.string
     for start, end in zip(positions, positions[1:]):
         gap = string[start:end]
         k = index.get(gap)
         if k is None:
-            k = index[gap] = len(first_ends)
-            first_ends.append(end)
+            k = index[gap] = len(firsts)
+            firsts.append((start, end))
         walk.append(k)
-    return len(positions), list(index), first_ends, walk
+    return len(positions), firsts, walk
 
 
 def occurrences(factor: Word, source: Source, horizon: int | None = None) -> OccurrenceList:
@@ -206,65 +206,95 @@ def occurrences(factor: Word, source: Source, horizon: int | None = None) -> Occ
 def return_words(factor: Word, source: Source, horizon: int | None = None) -> ReturnWordSet:
     """Distinct words separating consecutive occurrences of `factor`."""
     text = Text(source, horizon)
-    count, gaps, first_ends, _ = _return_walk(factor, text)
+    count, firsts, _ = _return_walk(factor, text)
     if count < 2:
+        name = (repr(factor.to_text()) if len(factor) <= 30
+                else f"of length {len(factor)} starting {factor[:30].to_text()!r}")
         raise ValueError(
-            f"factor {factor.to_text()!r} occurs {count} time(s) "
+            f"factor {name} occurs {count} time(s) "
             "in the snapshot; need at least 2 to observe a return word"
         )
     half = len(text) // 2
-    complete = all(end <= half for end in first_ends)
-    return ReturnWordSet(factor, tuple(text.decode(gap) for gap in gaps), complete)
+    complete = all(end <= half for _, end in firsts)
+    returns = tuple(Word(text.letters[start:end]) for start, end in firsts)
+    return ReturnWordSet(factor, returns, complete)
 
 
-def _extension_sets(text: str, pattern: str) -> tuple[set[str], set[str]]:
-    """Left/right extension letters of pattern; stops early once both are >= 2."""
-    lefts: set[str] = set()
-    rights: set[str] = set()
-    n = len(text)
-    plen = len(pattern)
-    pos = text.find(pattern)
-    while pos != -1:
-        if pos > 0:
-            lefts.add(text[pos - 1])
-        end = pos + plen
-        if end < n:
-            rights.add(text[end])
-        if len(lefts) >= 2 and len(rights) >= 2:
-            break
-        pos = text.find(pattern, pos + 1)
-    return lefts, rights
+def _suffix_array(codes: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix order by the first `depth` letters (ties by position) and each
+    suffix's LCP with the one before it in that order, capped at `depth`.
+
+    Prefix doubling keeps every round's ranks of the first 2^k letters, with
+    rank 0 for "past the end" at index n, and the LCP is binary lifting over
+    them: two suffixes that share lcp letters share 2^k more exactly when
+    their round-k ranks at offset lcp are equal.
+    """
+    n = codes.size
+    rank = np.zeros(n + 1, np.int32)
+    rank[:n] = codes
+    rank[:n] += 1
+    levels = [rank]
+    width = 1
+    order = np.argsort(rank[:n], kind="stable")
+    while width < depth and rank.max() < n:
+        key = rank[:n].astype(np.int64)
+        key *= n + 1
+        key[: n - width] += rank[width:n]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        fresh = np.ones(n, bool)
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        rank = np.zeros(n + 1, np.int32)
+        rank[order] = np.cumsum(fresh, dtype=np.int32)
+        levels.append(rank)
+        width *= 2
+    order = order.astype(np.int32)
+    lcp = np.zeros(n, np.int32)  # lcp[0] stays 0: no suffix before the first
+    above, below = order[:-1], order[1:]
+    for k in reversed(range(len(levels))):
+        level, shared = levels[k], lcp[1:]
+        agree = level[np.minimum(above + shared, n)] == level[np.minimum(below + shared, n)]
+        shared[agree] += 1 << k
+    return order, np.minimum(lcp, depth, out=lcp)
 
 
 def bispecial_factors(source: Source, horizon: int | None = None, max_len: int = 30) -> list[Word]:
     """Factors of length <= max_len with >= 2 left and >= 2 right extensions.
 
-    Works length by length: a right-special factor's suffixes are right
-    special too, so candidates of length L+1 are single-letter extensions of
-    the right-special frontier at length L. The empty word is included when
+    A factor of length L is a group of suffixes, consecutive in suffix order,
+    with LCPs >= L inside. Its right letters are the groups of length L + 1
+    it splits into, less the suffix of length exactly L, which sorts first;
+    it has two left letters when the letter before its suffixes changes
+    inside it (the suffix at 0 has none). The empty word is included when
     the snapshot shows at least two letters.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     text = Text(source, horizon)
-    alphabet = [chr(k) for k in range(len(text.alphabet))]
-    found: list[Word] = []
-    frontier: list[str] = [""] if len(alphabet) >= 2 else []
-    if frontier and len(text) >= 2:
-        found.append(Word())
-    for _ in range(max_len):
-        nxt: list[str] = []
-        for stem in frontier:
-            for c in alphabet:
-                cand = c + stem
-                lefts, rights = _extension_sets(text.string, cand)
-                if len(rights) >= 2:
-                    nxt.append(cand)
-                    if len(lefts) >= 2:
-                        found.append(text.decode(cand))
-        frontier = nxt
-        if not frontier:
-            break
+    if len(text.alphabet) < 2:
+        return []
+    n = len(text)
+    order, lcp = _suffix_array(text.codes, max_len + 1)
+    # left letters in suffix order and how often they change; the suffix at 0
+    # has none and borrows the one before it, which is in its group unless it
+    # starts the group, and then it is skipped
+    first = int(np.argmin(order))
+    left = text.codes[order - 1]
+    left[first] = left[first - 1]
+    turns = np.cumsum(np.diff(left, prepend=left[0]) != 0)
+    found = [Word()]
+    starts = np.flatnonzero(lcp == 0)
+    for length in range(1, min(max_len, int(lcp.max())) + 1):
+        splits = np.flatnonzero(lcp == length)
+        slots = np.searchsorted(starts, splits)
+        # the split after the suffix of length exactly `length` adds no right letter;
+        # slots ascend, so each group is kept once
+        after = slots[order[splits - 1] != n - length]
+        after = after[np.diff(after, prepend=0) > 0]
+        begin, end = starts[after - 1], np.append(starts, n)[after]
+        for i in order[begin[turns[end - 1] > turns[begin + (begin == first)]]]:
+            found.append(Word(text.letters[i : i + length]))
+        starts = np.insert(starts, slots, splits)
     found.sort(key=lambda w: (len(w), w.to_text()))
     return found
 
@@ -356,9 +386,9 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
     return word the horizon certifies.
     """
     text = Text(source, horizon)
-    if list(factor) != text.letters[: len(factor)]:
+    if tuple(factor) != text.letters[: len(factor)]:
         raise ValueError(f"factor {factor.to_text()!r} is not a prefix of the sequence")
-    count, _, _, walk = _return_walk(factor, text)
+    count, _, walk = _return_walk(factor, text)
     if count < 2:
         raise ValueError("need at least 2 occurrences to derive")
     return Word(str(k + 1) for k in walk)

@@ -55,8 +55,11 @@ def _guard(letters: int, max_horizon: int | None) -> None:
 
 
 def fib_properties_suite(*, levels: tuple[int, int] = (1, 200)) -> list[Check]:
-    """The classical Fibonacci identities at every index up to the top level."""
-    report = verify_fib_properties(_levels(levels)[-1])
+    """The classical Fibonacci identities at every index from 1 to the top level."""
+    top = _levels(levels)[-1]
+    if levels[0] != 1:
+        raise ValueError(f"fib-properties checks every index from 1 to N, not from {levels[0]}")
+    report = verify_fib_properties(top)
     return [
         (name, passed, "" if passed else report.failures.get(name, ""))
         for name, passed in sorted(report.results.items())
@@ -174,8 +177,12 @@ def return_words_suite(
     """Closed-form returns at each level; two returns for every factor up to max_len."""
     levels = _levels(levels)
     _at_least_one(horizon=horizon, max_len=max_len)
-    # the closed-form factor at the top level has F(hi+3) - 2 letters
-    _guard(max(horizon, fib(levels[-1] + 3) - 2), max_horizon)
+    # the closed-form factor at level n has F(n+3) - 2 letters
+    longest = fib(levels[-1] + 3) - 2
+    _guard(max(horizon, longest), max_horizon)
+    if longest > horizon:
+        raise ValueError(f"the closed-form factor at level {levels[-1]} has {longest} letters, "
+                         f"more than the horizon {horizon}")
     snap = Text(fibonacci_sequence(), horizon)
     checks = []
     for n in levels:
@@ -195,11 +202,11 @@ def return_words_suite(
             if ok else f"scan gave {[w.to_text()[:30] for w in rws.returns]}",
         ))
 
-    string = snap.string
+    string, letters = snap.string, snap.letters
     factors: list[Word] = []
     for length in range(1, max_len + 1):
-        coded = {string[i:i + length] for i in range(len(string) - length + 1)}
-        factors += sorted((snap.decode(c) for c in coded), key=Word.to_text)
+        first = {string[i:i + length]: i for i in range(len(string) - length, -1, -1)}
+        factors += sorted((Word(letters[i:i + length]) for i in first.values()), key=Word.to_text)
     bad = [fac.to_text() for fac in factors if len(return_words(fac, snap).returns) != 2]
     checks.append((
         f"every factor of length <= {max_len} has exactly two return words",

@@ -35,7 +35,7 @@ def discolour_letter(letter: str) -> str:
     """Forget the colour: hatted letters map to "b", everything else to "a"."""
     if letter in ("a", "b"):
         return letter
-    return "b" if is_hatted(letter) else "a"
+    return "b" if letter.endswith("'") else "a"
 
 
 def letter_to_json(letter: str) -> object:

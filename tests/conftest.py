@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import settings
 
 from seqlab import fibonacci_sequence
+
+# the same examples on every run and Python version: --hypothesis-profile=derandomized
+settings.register_profile("derandomized", derandomize=True)
 
 ACCEPTANCE: list[tuple[int, bool, str]] = []
 

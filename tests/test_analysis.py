@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlab.analysis import (
@@ -115,6 +115,153 @@ def test_return_words_to_aba(fib_snapshot):
 def test_return_words_need_two_occurrences(fib_snapshot):
     with pytest.raises(ValueError):
         return_words(Word.from_text("bb"), fib_snapshot)
+
+
+def brute_force_returns(letters, factor) -> tuple[Word, ...]:
+    """Distinct gaps between consecutive occurrences, by first appearance."""
+    k = len(factor)
+    starts = [i for i in range(len(letters) - k + 1) if tuple(letters[i:i + k]) == tuple(factor)]
+    gaps = [tuple(letters[i:j]) for i, j in zip(starts, starts[1:])]
+    return tuple(Word(gap) for gap in dict.fromkeys(gaps))
+
+
+@st.composite
+def small_words(draw):
+    """0 to 40 letters over 1-3 letters or coloured tokens, either random
+    or periodic with a few letters changed, often the first or the last."""
+    alphabet = draw(st.sampled_from([["a"], ["a", "b"], ["a", "b", "c"],
+                                     ["1", "1'", "2", "2'"]]))
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    root = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=6))
+    letters = (root * n)[:n]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        where = draw(st.sampled_from([0, n - 1, draw(st.integers(0, n - 1))]))
+        letters[where] = draw(st.sampled_from(alphabet))
+    return letters
+
+
+@given(letters=small_words(), start=st.integers(0, 39), length=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_return_words_match_brute_force_in_order(letters, start, length):
+    factor = Word(letters[start:start + length]) or Word(["a"])
+    want = brute_force_returns(letters, factor)
+    if not want:
+        with pytest.raises(ValueError, match="need at least 2"):
+            return_words(factor, letters)
+    else:
+        assert return_words(factor, letters).returns == want
+
+
+def test_return_words_match_brute_force_on_coloured_bispecials():
+    letters = colouring(3).letters(3000)
+    for factor in bispecial_factors(letters, None, 40)[1:]:
+        assert return_words(factor, letters).returns == brute_force_returns(letters, factor)
+
+
+def test_return_words_error_cuts_a_long_factor():
+    factor = fibonacci_bispecial(9).word  # 142 letters
+    with pytest.raises(ValueError) as excinfo:
+        return_words(factor, fibonacci_sequence(), 200)
+    message = str(excinfo.value)
+    assert message.startswith(f"factor of length 142 starting {factor[:30].to_text()!r} occurs 1 ")
+    assert len(message) < 150
+
+
+def _extension_sets(text: str, pattern: str) -> tuple[set[str], set[str]]:
+    """Left/right extension letters of pattern; stops early once both are >= 2."""
+    lefts: set[str] = set()
+    rights: set[str] = set()
+    n = len(text)
+    plen = len(pattern)
+    pos = text.find(pattern)
+    while pos != -1:
+        if pos > 0:
+            lefts.add(text[pos - 1])
+        end = pos + plen
+        if end < n:
+            rights.add(text[end])
+        if len(lefts) >= 2 and len(rights) >= 2:
+            break
+        pos = text.find(pattern, pos + 1)
+    return lefts, rights
+
+
+def frontier_bispecials(letters, max_len: int) -> list[Word]:
+    """Reference enumeration, length by length: a right-special factor's
+    suffixes are right special too, so the candidates of length L+1 are
+    one-letter left extensions of the right-special frontier at length L.
+    """
+    alphabet = list(dict.fromkeys(letters))
+    string = "".join(chr(alphabet.index(tok)) for tok in letters)
+    codes = [chr(k) for k in range(len(alphabet))]
+    found: list[Word] = []
+    frontier: list[str] = [""] if len(alphabet) >= 2 else []
+    if frontier and len(string) >= 2:
+        found.append(Word())
+    for _ in range(max_len):
+        nxt: list[str] = []
+        for stem in frontier:
+            for c in codes:
+                cand = c + stem
+                lefts, rights = _extension_sets(string, cand)
+                if len(rights) >= 2:
+                    nxt.append(cand)
+                    if len(lefts) >= 2:
+                        found.append(Word(alphabet[ord(ch)] for ch in cand))
+        frontier = nxt
+        if not frontier:
+            break
+    found.sort(key=lambda w: (len(w), w.to_text()))
+    return found
+
+
+def brute_force_bispecials(letters, max_len: int) -> list[Word]:
+    """Every factor of length <= max_len with its left and right extension sets."""
+    n = len(letters)
+    found = []
+    for length in range(min(max_len, n) + 1):
+        extensions: dict[tuple[str, ...], tuple[set[str], set[str]]] = {}
+        for i in range(n - length + 1):
+            lefts, rights = extensions.setdefault(tuple(letters[i:i + length]), (set(), set()))
+            if i > 0:
+                lefts.add(letters[i - 1])
+            if i + length < n:
+                rights.add(letters[i + length])
+        found += [Word(f) for f, (lefts, rights) in extensions.items()
+                  if len(lefts) >= 2 and len(rights) >= 2]
+    return sorted(found, key=lambda w: (len(w), w.to_text()))
+
+
+@st.composite
+def bispecial_cases(draw):
+    """A small word and a max_len of 0, below its length or above it."""
+    letters = draw(small_words())
+    n = len(letters)
+    max_len = draw(st.one_of(st.just(0), st.integers(0, max(n - 1, 0)), st.integers(n, n + 5)))
+    return letters, max_len
+
+
+@given(case=bispecial_cases())
+@example(case=([], 3))
+@example(case=(["a"], 1))
+@example(case=(["a", "b"], 0))
+@example(case=(list("aaaa"), 5))
+@example(case=(list("abaab"), 1))  # "a" is followed by b, a and the end
+@settings(max_examples=400, deadline=None)
+def test_bispecial_factors_match_both_oracles(case):
+    letters, max_len = case
+    got = bispecial_factors(letters, None, max_len)
+    assert got == frontier_bispecials(letters, max_len)
+    assert got == brute_force_bispecials(letters, max_len)
+    assert bispecial_factors(letters + ["b", "c"], len(letters), max_len) == got
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 4])
+def test_bispecial_factors_match_frontier_on_colourings(delta):
+    letters = colouring(delta).letters(5000)
+    assert bispecial_factors(letters, None, 100) == frontier_bispecials(letters, 100)
 
 
 def test_bispecial_scan_matches_closed_form(fib_snapshot):
@@ -340,7 +487,7 @@ def test_text_is_reused_and_refuses_a_horizon():
     text = Text(fibonacci_sequence(), 50)
     assert Text(text) is text
     assert text.alphabet == ("a", "b")
-    assert text.decode(text.encode(Word.from_text("abaab"))) == Word.from_text("abaab")
+    assert text.encode(Word.from_text("abaab")) == "\x00\x01\x00\x00\x01"
     assert text.encode(Word.from_text("ac")) is None
     with pytest.raises(ValueError):
         Text(text, 10)

@@ -438,6 +438,27 @@ def test_verify_levels_start_at_one(capsys):
     assert "levels must satisfy 1 <= lo <= hi, got 0..2" in capsys.readouterr().err
 
 
+def test_verify_return_words_refuses_a_factor_longer_than_the_horizon(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "return-words", "--n", "28..28",
+              "--horizon", "1000", "--max-len", "1"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "level 28 has 1346267 letters, more than the horizon 1000" in captured.err
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_fib_properties_refuses_a_lower_level(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "fib-properties", "--n", "150..200"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert "checks every index from 1 to N" in captured.err
+
+
 def test_verify_fib_properties_names_its_lower_limit(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "fib-properties", "--n", "1"])

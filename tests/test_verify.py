@@ -32,6 +32,9 @@ def test_every_check_passes_with_small_arguments(name):
 @pytest.mark.parametrize("name, kwargs, message", [
     ("fib-properties", dict(levels=(1, 1)), "n_max must be at least 2"),
     ("fib-properties", dict(levels=(0, 30)), "levels must satisfy"),
+    ("fib-properties", dict(levels=(150, 200)), "checks every index from 1 to N"),
+    ("return-words", dict(levels=(28, 28), horizon=1000, max_len=1),
+     "level 28 has 1346267 letters, more than the horizon 1000"),
     ("return-words", dict(levels=(0, 2), horizon=100, max_len=3), "levels must satisfy"),
     ("self-similarity", dict(levels=(3, 2)), "levels must satisfy"),
     ("coefficient-bounds", dict(levels=(1, 17)), "level 17 exceeds 16"),
