@@ -58,6 +58,8 @@ class Text:
             if horizon is not None:
                 raise ValueError("a Text is already a finite snapshot; pass no horizon with it")
             return source
+        if horizon is not None and horizon < 0:
+            raise ValueError(f"prefix length must be >= 0, got {horizon}")
         if isinstance(source, SequenceGenerator):
             if horizon is None:
                 raise ValueError("horizon is required when analysing a generator")

@@ -31,13 +31,11 @@ class RatioEntry(NamedTuple):
 class ExponentEstimate:
     """A computed stand-in for an asymptotic critical exponent.
 
-    mode "asymptotic" means long-period behaviour: either the closed-form
-    bispecial/return length ratios (`ratios` filled) or a repetition scan
-    restricted to long periods (`witness` filled). Scan results are lower
-    estimates: the true exponent can only be larger.
+    Either the closed-form bispecial/return length ratios (`ratios` filled)
+    or a repetition scan restricted to long periods (`witness` filled).
+    Scan results are lower estimates: the true exponent can only be larger.
     """
 
-    mode: str
     estimate: Fraction
     ratios: tuple[RatioEntry, ...] = ()
     witness: RepetitionRecord | None = None
@@ -107,7 +105,7 @@ def fibonacci_asymptotic_estimate(n_max: int) -> ExponentEstimate:
         RatioEntry(n, fib(n + 3) - 2, fib(n + 1), Fraction(fib(n + 3) - 2, fib(n + 1)))
         for n in range(0, n_max + 1)
     )
-    return ExponentEstimate(mode="asymptotic", estimate=1 + ratios[-1].ratio, ratios=ratios)
+    return ExponentEstimate(estimate=1 + ratios[-1].ratio, ratios=ratios)
 
 
 def coefficient_lower_bounds(n: int, c: GoldenNumber | None = None) -> CoefficientBoundCertificate:
@@ -257,7 +255,7 @@ def empirical_asymptotic_estimate(
     record = max_fractional_power(
         colouring(delta), horizon, min_period, max_period, progress=progress
     )
-    return ExponentEstimate(mode="asymptotic", estimate=record.exponent, witness=record)
+    return ExponentEstimate(estimate=record.exponent, witness=record)
 
 
 # best published values of the repetitive threshold RTB*(d) for even d:

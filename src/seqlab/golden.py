@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
+from itertools import pairwise
 
 Rational = int | Fraction
 
@@ -185,12 +186,11 @@ class GoldenNumber:
             return self.inverse() ** (-exponent)
         result = ONE
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
     def sign(self) -> int:
@@ -241,16 +241,10 @@ class GoldenNumber:
     def __str__(self) -> str:
         if self._b == 0:
             return str(self._a)
-        if self._b == 1:
-            tau_part = "tau"
-        elif self._b == -1:
-            tau_part = "-tau"
-        else:
-            tau_part = f"{self._b}*tau"
-        if self._a == 0:
-            return tau_part
         sign = "-" if self._b < 0 else "+"
-        mag = tau_part.lstrip("-")
+        mag = "tau" if abs(self._b) == 1 else f"{abs(self._b)}*tau"
+        if self._a == 0:
+            return mag if sign == "+" else f"-{mag}"
         return f"{self._a} {sign} {mag}"
 
     def __repr__(self) -> str:
@@ -265,18 +259,14 @@ TAU = GoldenNumber(0, 1)
 def tau_pow(n: int) -> GoldenNumber:
     """tau**n as an exact GoldenNumber, any integer n.
 
-    For n >= 1 this is F_{n-1} + F_n * tau; negative powers are built by
-    repeated multiplication with tau**-1 = tau - 1.
+    For n >= 1 this is F_{n-1} + F_n * tau; a negative power is the field
+    inverse of the positive one.
     """
+    if n < 0:
+        return tau_pow(-n).inverse()
     if n == 0:
         return ONE
-    if n > 0:
-        return GoldenNumber(fib(n - 1), fib(n))
-    inv = GoldenNumber(-1, 1)
-    result = ONE
-    for _ in range(-n):
-        result = result * inv
-    return result
+    return GoldenNumber(fib(n - 1), fib(n))
 
 
 @dataclass
@@ -303,68 +293,42 @@ def verify_fib_properties(n_max: int) -> FibPropertyReport:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    indices = range(0, n_max + 1)
+    remainders = [GoldenNumber(fib(n + 1), -fib(n)) for n in indices]
+    gaps = (abs(GoldenNumber(Fraction(fib(n + 1), fib(n)), -1)) for n in indices[1:])
+    # Each identity is a lazy stream of (witness, holds) cases in check order,
+    # so only the cases up to its first failure are ever computed.
+    cases = {
+        "cassini": (
+            (f"n={n}", fib(n + 1) * fib(n - 1) - fib(n) ** 2 == (-1) ** n) for n in indices[1:]
+        ),
+        "coprimality": ((f"n={n}", math.gcd(fib(n), fib(n + 1)) == 1) for n in indices),
+        # tau_pow(-n) is a field inverse, not the closed form, so both sides are independent
+        "golden_remainder": (
+            (f"n={n}", remainders[n] == (-1) ** n * tau_pow(-n)) for n in indices
+        ),
+        "ratio_convergence": (
+            (f"n={n}", gap < prev) for n, (prev, gap) in enumerate(pairwise(gaps), start=2)
+        ),
+        # at each n the sign is checked before the shrinking magnitude
+        "remainder_alternation": (
+            case
+            for n, rem in enumerate(remainders)
+            for case in (
+                (f"n={n} sign", rem.sign() == (-1) ** n),
+                (f"n={n} magnitude", n == 0 or abs(rem) < abs(remainders[n - 1])),
+            )
+        ),
+        "index_addition": (
+            (f"m={m} n={n}", fib(m + 1) * fib(n + 1) + fib(m) * fib(n) == fib(m + n + 1))
+            for m in indices
+            for n in indices[m:]
+        ),
+    }
     report = FibPropertyReport(n_max=n_max)
-
-    def record(name: str, ok: bool, witness: str = "") -> None:
-        report.results[name] = ok
-        if not ok:
+    for name, checks in cases.items():
+        witness = next((witness for witness, holds in checks if not holds), None)
+        report.results[name] = witness is None
+        if witness is not None:
             report.failures[name] = witness
-
-    ok, witness = True, ""
-    for n in range(1, n_max + 1):
-        if fib(n + 1) * fib(n - 1) - fib(n) ** 2 != (-1) ** n:
-            ok, witness = False, f"n={n}"
-            break
-    record("cassini", ok, witness)
-
-    ok, witness = True, ""
-    for n in range(0, n_max + 1):
-        if math.gcd(fib(n), fib(n + 1)) != 1:
-            ok, witness = False, f"n={n}"
-            break
-    record("coprimality", ok, witness)
-
-    ok, witness = True, ""
-    for n in range(0, n_max + 1):
-        lhs = GoldenNumber(fib(n + 1), -fib(n))
-        rhs = tau_pow(-n) if n % 2 == 0 else -tau_pow(-n)
-        if lhs != rhs:
-            ok, witness = False, f"n={n}"
-            break
-    record("golden_remainder", ok, witness)
-
-    ok, witness = True, ""
-    prev = None
-    for n in range(1, n_max + 1):
-        gap = abs(GoldenNumber(Fraction(fib(n + 1), fib(n)), -1))
-        if prev is not None and (prev - gap).sign() <= 0:
-            ok, witness = False, f"n={n}"
-            break
-        prev = gap
-    record("ratio_convergence", ok, witness)
-
-    ok, witness = True, ""
-    prev = None
-    for n in range(0, n_max + 1):
-        rem = GoldenNumber(fib(n + 1), -fib(n))
-        if rem.sign() != (1 if n % 2 == 0 else -1):
-            ok, witness = False, f"n={n} sign"
-            break
-        mag = abs(rem)
-        if prev is not None and (prev - mag).sign() <= 0:
-            ok, witness = False, f"n={n} magnitude"
-            break
-        prev = mag
-    record("remainder_alternation", ok, witness)
-
-    ok, witness = True, ""
-    for m in range(0, n_max + 1):
-        for n in range(m, n_max + 1):
-            if fib(m + 1) * fib(n + 1) + fib(m) * fib(n) != fib(m + n + 1):
-                ok, witness = False, f"m={m} n={n}"
-                break
-        if not ok:
-            break
-    record("index_addition", ok, witness)
-
     return report

@@ -495,6 +495,18 @@ def test_text_is_reused_and_refuses_a_horizon():
         occurrences(Word.from_text("a"), text, 50)
 
 
+@pytest.mark.parametrize(
+    "source", ["abaababa", list("abaababa"), Word.from_text("abaababa"), fibonacci_sequence()],
+    ids=["str", "list", "word", "generator"],
+)
+def test_negative_horizon_is_refused_for_every_source(source):
+    with pytest.raises(ValueError, match="prefix length must be >= 0, got -2"):
+        Text(source, -2)
+    with pytest.raises(ValueError, match="prefix length must be >= 0, got -1"):
+        occurrences(Word.from_text("a"), source, -1)
+    assert len(Text(source, 0)) == 0
+
+
 def test_more_than_256_distinct_letters():
     period = [f"x{i}" for i in range(300)]
     letters = period * 2 + period[:10]

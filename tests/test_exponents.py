@@ -29,7 +29,6 @@ def test_ratio_sequence_start():
     assert ratios[2] == Fraction(3, 2)
     assert ratios[3] == Fraction(6, 3)
     assert estimate.estimate == 1 + ratios[3]
-    assert estimate.mode == "asymptotic"
 
 
 def test_ratio_strictly_increasing_below_tau_squared():
@@ -192,7 +191,6 @@ def test_empirical_estimate_quick():
     assert (bound + Fraction(1, 10**9) - estimate.estimate).sign() > 0
     assert estimate.witness is not None
     assert estimate.witness.period >= 30
-    assert estimate.mode == "asymptotic"
 
 
 def test_empirical_estimate_validation():

@@ -71,11 +71,12 @@ def test_tau_pow_additivity():
 
 def test_negative_powers_alternate():
     # tau^(-n) = (-1)^n (F_{n+1} - F_n tau)
-    for n in range(1, 40):
+    for n in [*range(1, 40), 500]:
         expected = GoldenNumber(fib(n + 1), -fib(n))
         if n % 2:
             expected = -expected
         assert tau_pow(-n) == expected
+        assert tau_pow(-n) * tau_pow(n) == ONE
 
 
 def test_golden_remainder_sign_alternation():
@@ -177,6 +178,34 @@ def test_verify_fib_properties():
     assert report.failures == {}
     with pytest.raises(ValueError):
         verify_fib_properties(1)
+
+
+@pytest.mark.parametrize("wrong_f7, alternation", [(14, "n=6 magnitude"), (12, "n=6 sign")])
+def test_verify_fib_properties_reports_first_failures(monkeypatch, wrong_f7, alternation):
+    # one wrong Fibonacci number, F_7 = 13, breaks every identity; the
+    # witnesses pin where each check stops and in which order it looks
+    real_fib = seqlab.golden.fib
+    monkeypatch.setattr(
+        seqlab.golden, "fib", lambda n: wrong_f7 if n == 7 else real_fib(n)
+    )
+    report = verify_fib_properties(30)
+    assert list(report.results.items()) == [
+        ("cassini", False),
+        ("coprimality", False),
+        ("golden_remainder", False),
+        ("ratio_convergence", False),
+        ("remainder_alternation", False),
+        ("index_addition", False),
+    ]
+    assert report.failures == {
+        "cassini": "n=6",
+        "coprimality": "n=6",
+        "golden_remainder": "n=6",
+        "ratio_convergence": "n=6",
+        "remainder_alternation": alternation,
+        "index_addition": "m=1 n=5",
+    }
+    assert not report.all_pass
 
 
 def floating_point_uses(tree: ast.AST) -> list[str]:
