@@ -33,12 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .golden import GoldenNumber, fib, tau_pow
-from .words import (
-    FIBONACCI_MORPHISM,
-    SequenceGenerator,
-    Word,
-    discolour_letter,
-)
+from .words import SequenceGenerator, Word, discolour_letter, fibonacci_sequence
 
 
 class Text:
@@ -301,36 +296,23 @@ def bispecial_factors(source: Source, horizon: int | None = None, max_len: int =
     return found
 
 
-_FIB_BISPECIAL_CACHE: list[FibonacciBispecial] = []
-_FIB_BISPECIAL_MAX = 32  # word lengths grow as Fibonacci numbers
+# the prefix of F_{n+3} letters is built in memory: at the cap, 9.2 million letters
+_FIB_BISPECIAL_MAX = 32
 
 
 def fibonacci_bispecial(n: int) -> FibonacciBispecial:
     """Closed-form bispecial factor of the Fibonacci word with both returns.
 
-    Built by the recurrences word' = phi(word) + "a", returns' = phi(returns)
-    from (empty, "a", "b"). Everything stays in memory, hence the index cap.
+    The Fibonacci word f = phi^n(f) starts with ab, hence with the returns
+    phi^n(a) phi^n(b); they and the factor are slices of one prefix of f.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n > _FIB_BISPECIAL_MAX:
         raise ValueError(f"index {n} exceeds the in-memory cap {_FIB_BISPECIAL_MAX}")
-    if not _FIB_BISPECIAL_CACHE:
-        _FIB_BISPECIAL_CACHE.append(
-            FibonacciBispecial(0, Word(), Word.from_text("a"), Word.from_text("b"))
-        )
-    a = Word.from_text("a")
-    while len(_FIB_BISPECIAL_CACHE) <= n:
-        prev = _FIB_BISPECIAL_CACHE[-1]
-        _FIB_BISPECIAL_CACHE.append(
-            FibonacciBispecial(
-                prev.index + 1,
-                FIBONACCI_MORPHISM(prev.word) + a,
-                FIBONACCI_MORPHISM(prev.prefix_return),
-                FIBONACCI_MORPHISM(prev.other_return),
-            )
-        )
-    return _FIB_BISPECIAL_CACHE[n]
+    f = fibonacci_sequence().prefix(fib(n + 3))
+    split = fib(n + 2)
+    return FibonacciBispecial(n, f[:-2], f[:split], f[split:])
 
 
 def is_balanced(

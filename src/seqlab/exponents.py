@@ -13,6 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .analysis import RepetitionRecord, max_fractional_power
@@ -73,9 +74,10 @@ class CoefficientBoundCertificate:
     """Exhaustive certificate that golden-proximity forces large coefficients.
 
     For a threshold c strictly between |F_{n+1} - tau*F_n| and
-    |F_n - tau*F_{n-1}|, every pair (kappa, lam) with kappa + lam >= 1 and
-    |kappa - tau*lam| < c was checked to satisfy kappa >= F_{n+1} and
-    lam >= F_n, enumerating all pairs up to F_{n+3}.
+    |F_n - tau*F_{n-1}|, every pair (kappa, lam) up to F_{n+3} with
+    kappa + lam >= 1 and |kappa - tau*lam| < c was checked to satisfy
+    kappa >= F_{n+1} and lam >= F_n. Row lam holds the kappa strictly
+    between lam*tau - c and lam*tau + c; two exact floors count them.
     """
 
     n: int
@@ -84,7 +86,7 @@ class CoefficientBoundCertificate:
     lambda_min: int
     search_limit: int
     qualifying_pairs: int
-    violations: tuple[tuple[int, int], ...]
+    violations: tuple[tuple[int, int], ...]  # kappa-major order
     minimal_pair_qualifies: bool
 
     @property
@@ -109,50 +111,35 @@ def fibonacci_asymptotic_estimate(n_max: int) -> ExponentEstimate:
 
 
 def coefficient_lower_bounds(n: int, c: GoldenNumber | None = None) -> CoefficientBoundCertificate:
-    """Enumerate the certificate for level n; c defaults to the midpoint of
+    """Count the certificate for level n; c defaults to the midpoint of
     the admissible interval. Raises ValueError when c is not strictly inside
-    (|F_{n+1} - tau*F_n|, |F_n - tau*F_{n-1}|).
+    (|F_{n+1} - tau*F_n|, |F_n - tau*F_{n-1}|) = (tau^-n, tau^(1-n)).
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
-    lo = abs(GoldenNumber(fib(n + 1), -fib(n)))
-    hi = abs(GoldenNumber(fib(n), -fib(n - 1)))
+    lo, hi = tau_pow(-n), tau_pow(1 - n)
     if c is None:
         c = (lo + hi) * Fraction(1, 2)
-    if not ((c - lo).sign() > 0 and (hi - c).sign() > 0):
+    if not lo < c < hi:
         raise ValueError(
             f"threshold {c} is not strictly between {lo} and {hi} (level {n})"
         )
-
-    # clear denominators once: c = (P + Q*tau) / D with integer P, Q, D > 0
-    denom = c.a.denominator
-    denom = denom * c.b.denominator // math.gcd(denom, c.b.denominator)
-    p_int = int(c.a * denom)
-    q_int = int(c.b * denom)
 
     kappa_min, lambda_min = fib(n + 1), fib(n)
     limit = fib(n + 3)
     qualifying = 0
     violations: list[tuple[int, int]] = []
     minimal_ok = False
-    for kappa in range(0, limit + 1):
-        dk = denom * kappa
-        for lam in range(0, limit + 1):
-            if kappa == 0 and lam == 0:
-                continue
-            dl = denom * lam
-            # c - (kappa - lam*tau) > 0 and c + (kappa - lam*tau) > 0
-            b1 = q_int + dl
-            if sqrt5_sign(2 * (p_int - dk) + b1, b1) <= 0:
-                continue
-            b2 = q_int - dl
-            if sqrt5_sign(2 * (p_int + dk) + b2, b2) <= 0:
-                continue
-            qualifying += 1
-            if kappa == kappa_min and lam == lambda_min:
-                minimal_ok = True
-            if kappa < kappa_min or lam < lambda_min:
-                violations.append((kappa, lam))
+    for lam in range(0, limit + 1):
+        # row lam: the kappa strictly between lam*tau - c and lam*tau + c, (0, 0) left out
+        centre = GoldenNumber(0, lam)
+        low = max(math.floor(centre - c) + 1, 1 if lam == 0 else 0)
+        high = min(-math.floor(-centre - c) - 1, limit)
+        qualifying += max(high - low + 1, 0)
+        if lam == lambda_min:
+            minimal_ok = low <= kappa_min <= high
+        top = high if lam < lambda_min else min(high, kappa_min - 1)
+        violations.extend(product(range(low, top + 1), [lam]))
     return CoefficientBoundCertificate(
         n=n,
         threshold=c,
@@ -160,7 +147,7 @@ def coefficient_lower_bounds(n: int, c: GoldenNumber | None = None) -> Coefficie
         lambda_min=lambda_min,
         search_limit=limit,
         qualifying_pairs=qualifying,
-        violations=tuple(violations),
+        violations=tuple(sorted(violations)),
         minimal_pair_qualifies=minimal_ok,
     )
 

@@ -200,6 +200,10 @@ class GoldenNumber:
     def __abs__(self) -> GoldenNumber:
         return -self if self.sign() < 0 else self
 
+    def __floor__(self) -> int:
+        """Exact floor, so math.floor(x) is decided in integers."""
+        return _floor_surd(*self.surd())[0]
+
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:

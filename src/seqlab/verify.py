@@ -30,9 +30,12 @@ from .words import Word, colouring, discolour_letter, fibonacci_sequence
 
 Check = tuple[str, bool, str]
 
-# coefficient_lower_bounds(n) enumerates (F_{n+3} + 1)^2 pairs, about 2.6 times
-# more per level; level 16 takes seconds, level 20 would take minutes
+# coefficient_lower_bounds(n) counts F_{n+3} + 1 rows, 1.6 times more per level (level
+# 16: 0.2 s); the cap stays where the old pair grid set it, so the accepted levels hold
 MAX_COEFFICIENT_LEVEL = 16
+
+# verify_fib_properties(N) checks (N+1)(N+2)/2 pairs; N = 2000 takes over six seconds
+MAX_FIB_PROPERTIES_LEVEL = 1000
 
 
 def _levels(levels: tuple[int, int]) -> range:
@@ -59,6 +62,9 @@ def fib_properties_suite(*, levels: tuple[int, int] = (1, 200)) -> list[Check]:
     top = _levels(levels)[-1]
     if levels[0] != 1:
         raise ValueError(f"fib-properties checks every index from 1 to N, not from {levels[0]}")
+    if top > MAX_FIB_PROPERTIES_LEVEL:
+        raise ValueError(f"level {top} exceeds {MAX_FIB_PROPERTIES_LEVEL}; index addition "
+                         "is checked over (N+1)(N+2)/2 pairs")
     report = verify_fib_properties(top)
     return [
         (name, passed, "" if passed else report.failures.get(name, ""))
@@ -152,8 +158,8 @@ def coefficient_bounds_suite(*, levels: tuple[int, int] = (1, 10)) -> list[Check
     """The coefficient-forcing certificate at every level, up to MAX_COEFFICIENT_LEVEL."""
     levels = _levels(levels)
     if levels[-1] > MAX_COEFFICIENT_LEVEL:
-        raise ValueError(f"level {levels[-1]} exceeds {MAX_COEFFICIENT_LEVEL}; the pair "
-                         "enumeration grows about 2.6 times per level")
+        raise ValueError(f"level {levels[-1]} exceeds {MAX_COEFFICIENT_LEVEL}; the "
+                         "certificate counts F(n+3) + 1 rows, about 1.6 times more per level")
     checks = []
     for n in levels:
         cert = coefficient_lower_bounds(n)

@@ -274,7 +274,7 @@ def test_bispecial_scan_matches_closed_form(fib_snapshot):
 def test_fibonacci_bispecial_recurrences():
     prev = fibonacci_bispecial(0)
     assert prev.word == Word()
-    for n in range(1, 16):
+    for n in range(1, 26):
         cur = fibonacci_bispecial(n)
         assert len(cur.word) == fib(n + 3) - 2
         assert len(cur.prefix_return) == fib(n + 2)
@@ -286,6 +286,9 @@ def test_fibonacci_bispecial_recurrences():
         letters = cur.word.letters()
         assert letters == letters[::-1]
         prev = cur
+    for n in (-1, 33):
+        with pytest.raises(ValueError):
+            fibonacci_bispecial(n)
 
 
 def test_bispecial_lengths_map():

@@ -318,6 +318,17 @@ def test_verify_coefficient_bounds_level_cap(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_verify_fib_properties_level_cap(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "fib-properties", "--n", "1001"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds 1000" in captured.err
+    assert time.perf_counter() - start < 1
+
+
 def test_verify_unknown_suite(capsys):
     assert run_usage_error(capsys, "verify", "--suite", "nonsense") == 2
 

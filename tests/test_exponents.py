@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from seqlab.exponents import (
     EXPECTED_MARKERS,
+    CoefficientBoundCertificate,
     _marker,
     coefficient_lower_bounds,
     colouring_coefficient_certificate,
@@ -18,7 +19,7 @@ from seqlab.exponents import (
     split_letter,
     threshold_table,
 )
-from seqlab.golden import ONE, TAU, GoldenNumber, fib, tau_pow
+from seqlab.golden import ONE, TAU, GoldenNumber, fib, sqrt5_sign, tau_pow
 from seqlab.words import colouring, is_hatted
 
 
@@ -139,6 +140,78 @@ def test_certificate_threshold_bracketing():
     high = abs(GoldenNumber(fib(4), -fib(3)))
     assert (cert.threshold - low).sign() > 0
     assert (high - cert.threshold).sign() > 0
+
+
+def grid_certificate(n: int, c: GoldenNumber) -> CoefficientBoundCertificate:
+    """Oracle: the certificate by testing every pair of the (F_{n+3} + 1)^2 grid."""
+    # clear denominators once: c = (P + Q*tau) / D with integer P, Q, D > 0
+    denom = math.lcm(c.a.denominator, c.b.denominator)
+    p_int = int(c.a * denom)
+    q_int = int(c.b * denom)
+    kappa_min, lambda_min = fib(n + 1), fib(n)
+    limit = fib(n + 3)
+    qualifying = 0
+    violations = []
+    minimal_ok = False
+    for kappa in range(0, limit + 1):
+        dk = denom * kappa
+        for lam in range(0, limit + 1):
+            if kappa == 0 and lam == 0:
+                continue
+            dl = denom * lam
+            # c - (kappa - lam*tau) > 0 and c + (kappa - lam*tau) > 0
+            b1 = q_int + dl
+            if sqrt5_sign(2 * (p_int - dk) + b1, b1) <= 0:
+                continue
+            b2 = q_int - dl
+            if sqrt5_sign(2 * (p_int + dk) + b2, b2) <= 0:
+                continue
+            qualifying += 1
+            if kappa == kappa_min and lam == lambda_min:
+                minimal_ok = True
+            if kappa < kappa_min or lam < lambda_min:
+                violations.append((kappa, lam))
+    return CoefficientBoundCertificate(
+        n=n,
+        threshold=c,
+        kappa_min=kappa_min,
+        lambda_min=lambda_min,
+        search_limit=limit,
+        qualifying_pairs=qualifying,
+        violations=tuple(violations),
+        minimal_pair_qualifies=minimal_ok,
+    )
+
+
+def test_certificate_matches_grid_oracle_at_default_thresholds():
+    for n in range(1, 13):
+        cert = coefficient_lower_bounds(n)
+        assert cert == grid_certificate(n, cert.threshold)
+
+
+@st.composite
+def certificate_thresholds(draw):
+    n = draw(st.integers(1, 9))
+    lo = abs(GoldenNumber(fib(n + 1), -fib(n)))
+    hi = abs(GoldenNumber(fib(n), -fib(n - 1)))
+    t = draw(st.fractions(0, 1, max_denominator=10**6).filter(lambda t: 0 < t < 1))
+    return n, lo + (hi - lo) * t
+
+
+def _colouring_threshold(delta: int) -> tuple[int, GoldenNumber]:
+    result = colouring_exponent_bound(delta)
+    return result.level, tau_pow(2) * Fraction(1, result.period_length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_thresholds())
+@example(_colouring_threshold(3))
+@example(_colouring_threshold(4))
+@example(_colouring_threshold(5))
+@example(_colouring_threshold(6))
+def test_certificate_matches_grid_oracle(case):
+    n, c = case
+    assert coefficient_lower_bounds(n, c) == grid_certificate(n, c)
 
 
 def test_colouring_certificates():

@@ -98,6 +98,25 @@ def test_sign_agrees_with_interval_oracle(a, b):
     assert GoldenNumber(a, b).sign() == interval_sign(a + b / 2, b / 2)
 
 
+@given(a=fractions, b=fractions)
+def test_floor_is_bracketed_by_the_interval_oracle(a, b):
+    x = GoldenNumber(a, b)
+    floor = math.floor(x)
+    assert isinstance(floor, int)
+    # floor <= x < floor + 1, each side decided by the oracle
+    assert interval_sign(a - floor + b / 2, b / 2) >= 0
+    assert interval_sign(a - floor - 1 + b / 2, b / 2) < 0
+
+
+def test_floor_of_integers_and_powers():
+    assert [math.floor(GoldenNumber(k)) for k in (-2, 0, 3)] == [-2, 0, 3]
+    assert math.floor(TAU) == 1 and math.floor(-TAU) == -2
+    # tau^n = L_n - (-1/tau)^n for the Lucas number L_n = F_{n-1} + F_{n+1}
+    for n in range(2, 60):
+        lucas = fib(n - 1) + fib(n + 1)
+        assert math.floor(tau_pow(n)) == (lucas - 1 if n % 2 == 0 else lucas)
+
+
 @given(a=fractions, b=fractions, c=fractions, d=fractions)
 @settings(max_examples=200)
 def test_ring_identities(a, b, c, d):

@@ -33,6 +33,7 @@ def test_every_check_passes_with_small_arguments(name):
     ("fib-properties", dict(levels=(1, 1)), "n_max must be at least 2"),
     ("fib-properties", dict(levels=(0, 30)), "levels must satisfy"),
     ("fib-properties", dict(levels=(150, 200)), "checks every index from 1 to N"),
+    ("fib-properties", dict(levels=(1, 1001)), "level 1001 exceeds 1000"),
     ("return-words", dict(levels=(28, 28), horizon=1000, max_len=1),
      "level 28 has 1346267 letters, more than the horizon 1000"),
     ("return-words", dict(levels=(0, 2), horizon=100, max_len=3), "levels must satisfy"),
