@@ -48,6 +48,7 @@ from .words import (
 )
 
 DEFAULT_MAX_HORIZON = 10**7
+DEFAULT_HORIZON = 10**4  # analyze's snapshot of a sequence
 DELTAS = range(1, 10)
 
 Output = tuple[object, str, int]  # json document, text, exit code
@@ -172,16 +173,22 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> O
             parser.error("--word must be nonempty")
 
     # a bare word is its own subject for balanced/power/bispecial
-    standalone = (word is not None and not needs_factor
-                  and args.sequence is None and args.delta is None)
+    standalone = word is not None and not needs_factor
+    if standalone and (args.sequence is not None or args.delta is not None):
+        parser.error(f"analyze {kind} --word is a standalone word; "
+                     "it takes no --sequence or --delta")
+    if standalone and args.horizon is not None:
+        parser.error("--horizon does not apply to a standalone --word")
+    if args.sequence == "fibonacci" and args.delta is not None:
+        parser.error("--delta only applies to colouring")
     if args.sequence == "colouring" and args.delta is None:
         parser.error("--sequence colouring requires --delta")
     if standalone:
         text = Text(word)
     else:
-        _check_guard(parser, "--horizon", args.horizon)
-        colour = args.delta is not None and args.sequence != "fibonacci"
-        text = Text(colouring(args.delta) if colour else fibonacci_sequence(), args.horizon)
+        horizon = DEFAULT_HORIZON if args.horizon is None else args.horizon
+        _check_guard(parser, "--horizon", horizon)
+        text = Text(fibonacci_sequence() if args.delta is None else colouring(args.delta), horizon)
 
     if kind == "occurrences":
         occ = occurrences(word, text)
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "to analyze when no sequence is selected")
     p_an.add_argument("--sequence", choices=("fibonacci", "colouring"))
     p_an.add_argument("--delta", type=int, choices=DELTAS, metavar="DELTA")
-    p_an.add_argument("--horizon", type=int, default=10**4)
+    p_an.add_argument("--horizon", type=int)
     p_an.add_argument("--max-window", type=int, default=200)
     p_an.add_argument("--min-period", type=int, default=1)
     p_an.add_argument("--max-period", type=int)

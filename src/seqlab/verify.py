@@ -234,6 +234,8 @@ def divisibility_suite(
     sufficiently coloured bispecial factors of each colouring.
     """
     _at_least_one(horizon=horizon, max_len=max_len)
+    if len(set(deltas)) < len(deltas):
+        raise ValueError(f"deltas must not repeat, got {list(deltas)}")
     _guard(horizon, max_horizon)
     lengths = fibonacci_bispecial_lengths(max_len)
     checks = []

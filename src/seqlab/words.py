@@ -1,4 +1,4 @@
-"""Finite words, morphisms, and lazily extended infinite sequences.
+"""Finite words and lazily extended infinite sequences.
 
 Letters are short string tokens. The binary alphabet is {"a", "b"}; the
 gap-colouring alphabets use the digits "1".."9" for plain letters and a
@@ -10,8 +10,8 @@ anything else serializes space-separated ("1 1' 3 2 3'").
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from itertools import cycle
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import cycle, islice
 
 
 def coloured_letter(index: int, hatted: bool = False) -> str:
@@ -125,55 +125,6 @@ class Word:
         return self._letters
 
 
-class Morphism:
-    """Letter-to-word substitution, applied homomorphically."""
-
-    __slots__ = ("_images",)
-
-    def __init__(self, images: Mapping[str, Word | str | Iterable[str]]) -> None:
-        table: dict[str, tuple[str, ...]] = {}
-        for letter, image in images.items():
-            if isinstance(image, Word):
-                toks = image.letters()
-            elif isinstance(image, str):
-                toks = Word.from_text(image).letters()
-            else:
-                toks = tuple(image)
-            table[letter] = toks
-        object.__setattr__(self, "_images", table)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Morphism is immutable")
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self._images)
-
-    def _image_letters(self, letter: str) -> tuple[str, ...]:
-        try:
-            return self._images[letter]
-        except KeyError:
-            raise KeyError(f"morphism has no image for letter {letter!r}") from None
-
-    def __call__(self, word: Word) -> Word:
-        out: list[str] = []
-        for letter in word:
-            out.extend(self._image_letters(letter))
-        return Word(out)
-
-    def is_prolongable(self, seed: str) -> bool:
-        """True when the image of seed starts with seed and is longer than it."""
-        img = self._image_letters(seed)
-        return len(img) >= 2 and img[0] == seed
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k!r}: {''.join(v)!r}" for k, v in sorted(self._images.items()))
-        return f"Morphism({{{body}}})"
-
-
-FIBONACCI_MORPHISM = Morphism({"a": "ab", "b": "a"})
-
-
 class SequenceGenerator:
     """Lazy prefix provider for an infinite sequence.
 
@@ -206,33 +157,30 @@ class SequenceGenerator:
         return self._buf[:n]
 
 
-class FixedPointGenerator(SequenceGenerator):
-    """Fixed point of a morphism prolongable on its seed letter.
+class _FibonacciGenerator(SequenceGenerator):
+    """The Fibonacci word f, grown from its own prefixes.
 
-    The buffer doubles as the input tape: position i of the fixed point has
-    already been produced by the time its image is needed, so extension is
-    a single linear scan.
+    The prefix f_k has F_{k+2} letters and f_{k+1} = f_k f_{k-1}, with
+    f_{k-1} a prefix of f_k: for consecutive Fibonacci numbers
+    F_j <= i < F_{j+1}, letter i of f is letter i - F_j. The buffer keeps
+    the pair (F_j, F_{j+1}) that brackets its length.
     """
 
-    def __init__(self, morphism: Morphism, seed: str) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not morphism.is_prolongable(seed):
-            raise ValueError(
-                f"morphism is not prolongable on {seed!r}: "
-                "the image must start with the seed and have length >= 2"
-            )
-        self.morphism = morphism
-        self.seed = seed
-        self._images = {letter: morphism._image_letters(letter) for letter in morphism.domain}
-        self._buf.extend(self._images[seed])
-        self._next = 1
+        self._buf.extend("ab")
+        self._pair = (2, 3)
 
     def _extend(self, n: int) -> None:
         buf = self._buf
-        images = self._images
         while len(buf) < n:
-            buf.extend(images[buf[self._next]])
-            self._next += 1
+            low, high = self._pair
+            # the copy stops at F_{j+1} - F_j <= F_j <= len(buf), so islice
+            # reads only letters already in the buffer and the prefix is
+            # never copied
+            buf.extend(islice(buf, len(buf) - low, min(n, high) - low))
+            if len(buf) == high:
+                self._pair = (high, low + high)
 
 
 class PeriodicGenerator(SequenceGenerator):
@@ -314,13 +262,9 @@ class ColouringGenerator(SequenceGenerator):
         self._buf.extend(map(next, map(self._streams.__getitem__, segment)))
 
 
-def fixed_point(morphism: Morphism, seed: str) -> FixedPointGenerator:
-    return FixedPointGenerator(morphism, seed)
-
-
-def fibonacci_sequence() -> FixedPointGenerator:
+def fibonacci_sequence() -> SequenceGenerator:
     """The Fibonacci word, fixed point of a -> ab, b -> a."""
-    return FixedPointGenerator(FIBONACCI_MORPHISM, "a")
+    return _FibonacciGenerator()
 
 
 def colouring(delta: int) -> ColouringGenerator:

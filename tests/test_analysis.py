@@ -20,12 +20,13 @@ from seqlab.analysis import (
 )
 from seqlab.golden import fib
 from seqlab.words import (
-    FIBONACCI_MORPHISM,
     PeriodicGenerator,
     Word,
     colouring,
     fibonacci_sequence,
 )
+
+from fibonacci_oracle import phi
 
 
 def brute_force_max_exponent(text: str) -> Fraction:
@@ -279,9 +280,9 @@ def test_fibonacci_bispecial_recurrences():
         assert len(cur.word) == fib(n + 3) - 2
         assert len(cur.prefix_return) == fib(n + 2)
         assert len(cur.other_return) == fib(n + 1)
-        assert cur.word == FIBONACCI_MORPHISM(prev.word) + Word.from_text("a")
-        assert cur.prefix_return == FIBONACCI_MORPHISM(prev.prefix_return)
-        assert cur.other_return == FIBONACCI_MORPHISM(prev.other_return)
+        assert cur.word == phi(prev.word) + Word.from_text("a")
+        assert cur.prefix_return == phi(prev.prefix_return)
+        assert cur.other_return == phi(prev.other_return)
         # bispecial factors of the fixed point are palindromes
         letters = cur.word.letters()
         assert letters == letters[::-1]

@@ -118,6 +118,27 @@ def test_analyze_rejects_options_below_minimum(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bispecial", "--sequence", "fibonacci", "--delta", "3"],
+     "--delta only applies to colouring"),
+    (["power", "--word", "abcab", "--sequence", "fibonacci"], "takes no --sequence or --delta"),
+    (["bispecial", "--word", "abaab", "--delta", "2"], "takes no --sequence or --delta"),
+    (["balanced", "--word", "abaab", "--sequence", "colouring", "--delta", "2"],
+     "takes no --sequence or --delta"),
+    (["bispecial", "--word", "abaab", "--horizon", "3"],
+     "--horizon does not apply to a standalone --word"),
+    (["power", "--word", "abcab", "--horizon", "10000"],
+     "--horizon does not apply to a standalone --word"),
+])
+def test_analyze_refuses_an_option_that_does_not_apply(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", *argv])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_power_word(capsys):
     code, out = run(capsys, "analyze", "power", "--word", "kabelka")
     assert code == 0
@@ -501,6 +522,16 @@ def test_verify_divisibility_takes_repeated_deltas(capsys):
     assert code == 0
     assert "ok: delta=2: " in out and "ok: delta=3: " in out
     assert "delta=4" not in out
+
+
+def test_verify_divisibility_refuses_a_repeated_delta(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "divisibility", "--delta", "2", "--delta", "2",
+              "--horizon", "3000", "--max-len", "20"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert "deltas must not repeat, got [2, 2]" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_json_to_file(capsys, tmp_path):

@@ -45,6 +45,8 @@ def test_every_check_passes_with_small_arguments(name):
     ("return-words", dict(max_len=0), "max_len must be >= 1"),
     ("divisibility", dict(horizon=0), "horizon must be >= 1"),
     ("divisibility", dict(deltas=(10,), horizon=100, max_len=5), "delta must be in 1..9"),
+    ("divisibility", dict(deltas=(2, 3, 2), horizon=100, max_len=5),
+     "deltas must not repeat, got [2, 3, 2]"),
     ("self-similarity", dict(letters=0), "letters must be >= 1"),
 ])
 def test_out_of_range_arguments_raise(name, kwargs, message):

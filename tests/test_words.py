@@ -1,13 +1,11 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlab.words import (
-    FIBONACCI_MORPHISM,
     ColouringGenerator,
-    Morphism,
     PeriodicGenerator,
     Word,
     coloured_letter,
@@ -16,11 +14,12 @@ from seqlab.words import (
     discolour,
     discolour_letter,
     fibonacci_sequence,
-    fixed_point,
     is_hatted,
     letter_index,
     letter_to_json,
 )
+
+from fibonacci_oracle import fibonacci_oracle
 
 letters = st.sampled_from(["a", "b", "1", "2'", "3"])
 words = st.lists(letters, max_size=40).map(Word)
@@ -68,28 +67,29 @@ def test_parikh_additivity(u, v):
     assert combined == separate
 
 
-def test_fibonacci_morphism():
-    assert FIBONACCI_MORPHISM(Word.from_text("ab")) == Word.from_text("aba")
-    assert FIBONACCI_MORPHISM.is_prolongable("a")
-    assert not FIBONACCI_MORPHISM.is_prolongable("b")
-    with pytest.raises(KeyError):
-        FIBONACCI_MORPHISM(Word.from_text("ax"))
-
-
 def test_fibonacci_prefix():
     assert fibonacci_sequence().prefix(13).to_text() == "abaababaabaab"
 
 
-def test_fixed_point_prefix_consistency():
-    gen = fixed_point(Morphism({"a": "ab", "b": "a"}), "a")
+def test_fibonacci_prefix_consistency():
+    gen = fibonacci_sequence()
     long = gen.prefix(600)
     for n in (0, 1, 2, 3, 5, 89, 599):
         assert long.startswith(gen.prefix(n))
 
 
-def test_fixed_point_requires_prolongable_seed():
-    with pytest.raises(ValueError):
-        fixed_point(Morphism({"a": "ba", "b": "a"}), "a")
+@given(st.lists(st.integers(0, 5000), min_size=1, max_size=8))
+@example([0, 1, 2, 3, 4, 5, 13, 89, 600])
+@example([600, 89, 13, 5, 4, 3, 2, 1, 0])
+@example([4180, 4181, 4182, 6765])  # on and next to F_19 = 4181
+def test_fibonacci_sequence_matches_phi_oracle(lengths):
+    """One generator grown in any order matches phi^k("a") and never overshoots."""
+    gen = fibonacci_sequence()
+    oracle = fibonacci_oracle(max(lengths))
+    for k, n in enumerate(lengths):
+        assert gen.letters(n) == oracle[:n]
+        # the buffer starts as "ab"
+        assert len(gen._buf) == max(2, *lengths[:k + 1])
 
 
 def test_constant_gap_periods():
