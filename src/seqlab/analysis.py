@@ -8,11 +8,12 @@ horizons should be generous relative to the factor lengths involved
 (return-word scans want the horizon to exceed the last used occurrence plus
 twice the largest gap seen).
 
-A Text codes each letter by its rank of first appearance, once, both as a
-numpy array and as a str for C-speed substring search; its letters are a
-tuple, so a factor or return word is one slice of it. Exponents and counts
-are exact (ints and Fractions); numpy holds the letter codes, boolean
-mismatch masks, integer window sums and int32 suffix ranks and LCPs.
+A Text codes each letter by its rank of first appearance, in one pass, both
+as a str for C-speed substring search and as a read-only numpy array; its
+letters are a tuple, so a factor or return word is one slice of it. Exponents
+and counts are exact (ints and Fractions); numpy holds the letter codes,
+boolean mismatch masks, int32 suffix ranks and LCPs, and prefix sums modulo
+the narrowest unsigned type that holds every window count.
 
 `bispecial_factors` reads the bispecial factors off the suffix array and LCP
 array (Kasai et al. 2001) as lcp-intervals (Abouelhoda, Kurtz and Ohlebusch
@@ -22,6 +23,7 @@ The period scan of `max_fractional_power` locates runs only on periods that
 can beat the best exponent found so far: whether the agreement mask of a
 period holds a long enough run is decided first, exactly, by a few shifted
 ANDs, so skipped periods are exactly those that could not change the result.
+Runs are then located by binary lifting on the same ANDs.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ class Text:
     """One encoded snapshot of a sequence, built once and shared.
 
     `letters` is the snapshot as a tuple, `alphabet` its letters in order of first
-    appearance, `codes` each letter's rank in that alphabet (numpy, the
-    smallest unsigned dtype that holds every rank) and `string` the same
-    ranks as a str of chr(rank), for str.find. Constructing a Text from a
-    Text returns it unchanged; it is already cut, so a horizon is refused.
+    appearance, `codes` each letter's rank in that alphabet (a read-only numpy
+    array of the smallest unsigned dtype that holds every rank) and `string`
+    the same ranks as a str of chr(rank), for str.find. Constructing a Text
+    from a Text returns it unchanged; it is already cut, so a horizon is refused.
     """
 
     __slots__ = ("letters", "alphabet", "codes", "string", "_rank")
@@ -63,15 +65,12 @@ class Text:
             letters = tuple(source)[:horizon]
         self = super().__new__(cls)
         self.letters = letters
-        self.alphabet = tuple(dict.fromkeys(letters))
-        self._rank = {tok: k for k, tok in enumerate(self.alphabet)}
-        dtype = np.min_scalar_type(max(len(self.alphabet) - 1, 0))
-        self.codes = np.fromiter(map(self._rank.__getitem__, letters), dtype, len(letters))
-        if dtype == np.uint8:
-            self.string = self.codes.tobytes().decode("latin-1")
-        else:
-            wide = self.codes.astype("<u4").tobytes()
-            self.string = wide.decode("utf-32-le", "surrogatepass")
+        self._rank = ranks = _Ranks()
+        self.string = "".join(map(ranks.__getitem__, letters))
+        self.alphabet = tuple(ranks)
+        wide = np.frombuffer(self.string.encode("utf-32-le", "surrogatepass"), "<u4")
+        self.codes = wide.astype(np.min_scalar_type(max(len(ranks) - 1, 0)))
+        self.codes.flags.writeable = False
         return self
 
     def __len__(self) -> int:
@@ -79,10 +78,17 @@ class Text:
 
     def encode(self, word: Word) -> str | None:
         """`word` in the coding of `string`; None when the snapshot lacks one of its letters."""
-        try:
-            return "".join([chr(self._rank[tok]) for tok in word])
-        except KeyError:
-            return None
+        # get, not [], which would rank a letter the snapshot lacks
+        coded = list(map(self._rank.get, word))
+        return None if None in coded else "".join(coded)
+
+
+class _Ranks(dict):
+    """letter -> chr(its rank of first appearance); a new letter takes the next rank."""
+
+    def __missing__(self, tok: str) -> str:
+        code = self[tok] = chr(len(self))
+        return code
 
 
 Source = SequenceGenerator | Word | Text | Sequence[str] | str
@@ -335,11 +341,15 @@ def is_balanced(
     if n == 0:
         raise ValueError("empty snapshot")
     max_window = min(max_window, n)
+    # a window holds at most max_window letters, so prefix sums modulo the width
+    # of the narrowest type that holds max_window give exact counts on subtraction
+    dtype = np.min_scalar_type(max_window)
     # letters in sorted token order, so the witness does not depend on the coding
-    prefix_sums = [
-        (tok, np.concatenate(([0], np.cumsum(text.codes == k, dtype=np.int64))))
-        for k, tok in sorted(enumerate(text.alphabet), key=lambda item: item[1])
-    ]
+    prefix_sums = []
+    for k, tok in sorted(enumerate(text.alphabet), key=lambda item: item[1]):
+        sums = np.zeros(n + 1, dtype)
+        np.cumsum(text.codes == k, dtype=dtype, out=sums[1:])
+        prefix_sums.append((tok, sums))
     for window in range(1, max_window + 1):
         for tok, sums in prefix_sums:
             counts = sums[window:] - sums[:-window]
@@ -391,19 +401,22 @@ def parikh_is_fib_factor(k: int, ell: int) -> bool:
 
 
 def _longest_run(eq: np.ndarray) -> tuple[int, int]:
-    """Length and start of the first longest run of True in `eq`."""
-    mismatches = np.flatnonzero(~eq)
-    if mismatches.size == 0:
-        return eq.size, 0
-    runs = np.empty(mismatches.size + 1, dtype=np.int64)
-    runs[0] = mismatches[0]
-    runs[1:-1] = np.diff(mismatches) - 1
-    runs[-1] = eq.size - mismatches[-1] - 1
-    starts = np.empty(mismatches.size + 1, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = mismatches + 1
-    k = int(np.argmax(runs))  # first maximum: earliest position
-    return int(runs[k]), int(starts[k])
+    """Length and start of the first longest run of True in `eq`: binary lifting
+    over the levels all(eq[i : i + 2^k]) that `_has_run`'s shifted ANDs build.
+    """
+    if not eq.any():
+        return 0, 0
+    levels, span = [eq], 1
+    while (w := levels[-1][:-span] & levels[-1][span:]).any():
+        levels.append(w)
+        span *= 2
+    mask, length = levels.pop(), span
+    for level in reversed(levels):
+        span //= 2
+        w = mask[:-span] & level[length:]  # starts of runs of length + span
+        if w.any():
+            mask, length = w, length + span
+    return length, int(np.argmax(mask))  # the first start: earliest position
 
 
 def _has_run(eq: np.ndarray, need: int) -> bool:

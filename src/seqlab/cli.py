@@ -157,6 +157,10 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> O
     needs_factor = kind in ("occurrences", "returns", "derived")
     if needs_factor and args.word is None:
         parser.error(f"analyze {kind} requires --word")
+    for option, reader in {"--max-window": "balanced", "--min-period": "power",
+                           "--max-period": "power", "--max-len": "bispecial"}.items():
+        if getattr(args, option[2:].replace("-", "_")) is not None and kind != reader:
+            parser.error(f"{option} only applies to analyze {reader}")
     # --max-len 0 is valid: the empty word is the only factor that short
     _check_minimums(parser, {"--horizon": (args.horizon, 1),
                              "--max-window": (args.max_window, 1),
@@ -221,21 +225,23 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> O
                      f"complete: {str(rws.complete).lower()}\n"), 0
 
     if kind == "bispecial":
-        factors = bispecial_factors(text, max_len=args.max_len)
+        max_len = 30 if args.max_len is None else args.max_len
+        factors = bispecial_factors(text, max_len=max_len)
         doc = {
             "analysis": "bispecial",
             "horizon": len(text),
-            "max_len": args.max_len,
+            "max_len": max_len,
             "count": len(factors),
             "factors": [{"length": len(w), "text": w.to_text()} for w in factors],
         }
         lines = [f"bispecial factors (horizon {len(text)}, max length "
-                 f"{args.max_len}): {len(factors)}"]
+                 f"{max_len}): {len(factors)}"]
         lines += [f"len {len(w)}: {_quote(w)}" for w in factors]
         return doc, "\n".join(lines) + "\n", 0
 
     if kind == "balanced":
-        report = is_balanced(text, max_window=args.max_window)
+        max_window = 200 if args.max_window is None else args.max_window
+        report = is_balanced(text, max_window=max_window)
         w = report.witness
         doc = {
             "analysis": "balanced",
@@ -278,13 +284,14 @@ def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> O
 
     # power: by default every period of a standalone word, half the horizon
     # of a sequence
+    min_period = 1 if args.min_period is None else args.min_period
     max_period = args.max_period
     if max_period is None:
         max_period = len(text) - 1 if standalone else max(len(text) // 2, 1)
-    if max_period < args.min_period < len(text):
+    if max_period < min_period < len(text):
         # a window past the end of the snapshot fails below, as an analysis
-        parser.error(f"--min-period {args.min_period} is above --max-period {max_period}")
-    record = max_fractional_power(text, None, args.min_period, max_period,
+        parser.error(f"--min-period {min_period} is above --max-period {max_period}")
+    record = max_fractional_power(text, None, min_period, max_period,
                                   progress=_progress_callback())
     exponent = record.exponent
     exponent_decimal = GoldenNumber(exponent).decimal()
@@ -451,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--sequence", choices=("fibonacci", "colouring"))
     p_an.add_argument("--delta", type=int, choices=DELTAS, metavar="DELTA")
     p_an.add_argument("--horizon", type=int)
-    p_an.add_argument("--max-window", type=int, default=200)
-    p_an.add_argument("--min-period", type=int, default=1)
+    p_an.add_argument("--max-window", type=int)
+    p_an.add_argument("--min-period", type=int)
     p_an.add_argument("--max-period", type=int)
-    p_an.add_argument("--max-len", type=int, default=30)
+    p_an.add_argument("--max-len", type=int)
 
     p_bound = sub.add_parser("bound", parents=[common],
                              help="exact repetition bound for a colouring")

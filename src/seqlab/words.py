@@ -31,11 +31,16 @@ def letter_index(letter: str) -> int:
     return int(core)
 
 
-def discolour_letter(letter: str) -> str:
+class _Discoloured(dict):
     """Forget the colour: hatted letters map to "b", everything else to "a"."""
-    if letter in ("a", "b"):
-        return letter
-    return "b" if letter.endswith("'") else "a"
+
+    def __missing__(self, letter: str) -> str:
+        self[letter] = letter if letter in ("a", "b") else "b" if letter.endswith("'") else "a"
+        return self[letter]
+
+
+# one dict lookup per call; each distinct letter is discoloured once
+discolour_letter = _Discoloured().__getitem__
 
 
 def letter_to_json(letter: str) -> object:

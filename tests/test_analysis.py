@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlab.analysis import (
+    BalanceReport,
+    BalanceWitness,
     Text,
+    _longest_run,
     bispecial_factors,
     derived_sequence,
     fibonacci_bispecial,
@@ -60,6 +63,24 @@ def brute_force_power_witness(text, min_period, max_period):
     return -exponent, period, start
 
 
+def longest_run_oracle(eq):
+    """Length and start of the first longest run of True in `eq`, read off
+    the gaps between its mismatches.
+    """
+    mismatches = np.flatnonzero(~eq)
+    if mismatches.size == 0:
+        return eq.size, 0
+    runs = np.empty(mismatches.size + 1, dtype=np.int64)
+    runs[0] = mismatches[0]
+    runs[1:-1] = np.diff(mismatches) - 1
+    runs[-1] = eq.size - mismatches[-1] - 1
+    starts = np.empty(mismatches.size + 1, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = mismatches + 1
+    k = int(np.argmax(runs))  # first maximum: earliest position
+    return int(runs[k]), int(starts[k])
+
+
 def unpruned_max_power(letters, min_period, max_period, progress):
     """The period scan without pruning: the longest run of every period is
     located in full. Returns (exponent, period, position).
@@ -71,20 +92,7 @@ def unpruned_max_power(letters, min_period, max_period, progress):
     for i, p in enumerate(range(min_period, max_period + 1)):
         if i % step == 0:
             progress(i, total)
-        eq = arr[p:] == arr[:-p]
-        mismatches = np.flatnonzero(~eq)
-        if mismatches.size == 0:
-            run, pos = eq.size, 0
-        else:
-            runs = np.empty(mismatches.size + 1, dtype=np.int64)
-            runs[0] = mismatches[0]
-            runs[1:-1] = np.diff(mismatches) - 1
-            runs[-1] = eq.size - mismatches[-1] - 1
-            starts = np.empty(mismatches.size + 1, dtype=np.int64)
-            starts[0] = 0
-            starts[1:] = mismatches + 1
-            k = int(np.argmax(runs))
-            run, pos = int(runs[k]), int(starts[k])
+        run, pos = longest_run_oracle(arr[p:] == arr[:-p])
         exponent = Fraction(run + p, p)
         if exponent > best_exp:
             best_exp, best_period, best_pos = exponent, p, pos
@@ -335,6 +343,62 @@ def test_is_balanced_colouring_small():
         assert is_balanced(colouring(delta), 3000, max_window=80).balanced
 
 
+def balance_oracle(letters, max_window):
+    """is_balanced on int64 prefix sums, for a nonempty list of letters."""
+    n = len(letters)
+    max_window = min(max_window, n)
+    arr = np.array(letters)
+    prefix_sums = [(tok, np.concatenate(([0], np.cumsum(arr == tok, dtype=np.int64))))
+                   for tok in sorted(set(letters))]
+    for window in range(1, max_window + 1):
+        for tok, sums in prefix_sums:
+            counts = sums[window:] - sums[:-window]
+            low, high = int(counts.min()), int(counts.max())
+            if high - low > 1:
+                witness = BalanceWitness(window, tok, int(np.argmin(counts)), low,
+                                         int(np.argmax(counts)), high)
+                return BalanceReport(False, witness, n, max_window)
+    return BalanceReport(True, None, n, max_window)
+
+
+@st.composite
+def balance_cases(draw):
+    """A colouring prefix, possibly with one letter changed far in (an
+    imbalance that only long windows see), a run of a with a few b (window
+    counts above 255), or a random word over 1-4 letters; and a window
+    bound, often next to the uint8/uint16 boundary.
+    """
+    shape = draw(st.sampled_from(["colouring", "sparse", "random"]))
+    if shape == "colouring":
+        letters = colouring(draw(st.integers(1, 4))).letters(draw(st.integers(1, 700)))
+        if draw(st.booleans()):
+            letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from(["1", "1'"]))
+    elif shape == "sparse":
+        letters = ["a"] * draw(st.integers(1, 700))
+        for _ in range(draw(st.integers(1, 3))):
+            letters[draw(st.integers(0, len(letters) - 1))] = "b"
+    else:
+        letters = draw(st.lists(st.sampled_from("abcd"[:draw(st.integers(1, 4))]),
+                                min_size=1, max_size=300))
+    max_window = draw(st.one_of(st.integers(1, 300), st.sampled_from([255, 256, 257])))
+    return letters, max_window
+
+
+@given(case=balance_cases())
+@example(case=(fibonacci_sequence().letters(600), 256))
+# a b^L a b^(L+2) first spreads by 2 at window L + 2: here 255, then 256
+@example(case=(["a"] + ["b"] * 253 + ["a"] + ["b"] * 255, 255))
+@example(case=(["a"] + ["b"] * 254 + ["a"] + ["b"] * 256, 255))
+@example(case=(["a"] + ["b"] * 254 + ["a"] + ["b"] * 256, 256))
+# the same with the letters swapped: the witness counts 254 and 256 letters
+@example(case=(["b"] + ["a"] * 254 + ["b"] + ["a"] * 256, 256))
+@example(case=(["a"] * 300, 300))
+@settings(max_examples=200, deadline=None)
+def test_is_balanced_matches_int64_oracle(case):
+    letters, max_window = case
+    assert is_balanced(letters, max_window=max_window) == balance_oracle(letters, max_window)
+
+
 def test_derived_sequence_to_letter(fib_text):
     derived = derived_sequence(Word.from_text("a"), fib_text)
     renamed = "".join("1" if c == "a" else "2" for c in fib_text)
@@ -394,6 +458,32 @@ def test_max_power_matches_brute_force(text):
         chunk[i] == chunk[i - record.period]
         for i in range(record.period, len(chunk))
     )
+
+
+@st.composite
+def masks(draw):
+    """A boolean mask of 1-400 entries: coin flips at a random density, or
+    alternating runs of random lengths.
+    """
+    if draw(st.booleans()):
+        density = draw(st.floats(0, 1))
+        flips = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=400))
+        return np.array([u < density for u in flips])
+    first = draw(st.booleans())
+    lengths = draw(st.lists(st.integers(1, 80), min_size=1, max_size=10))
+    return np.array([(k % 2 == 0) == first for k, size in enumerate(lengths)
+                     for _ in range(size)])
+
+
+@given(eq=masks())
+@example(eq=np.ones(1, bool))
+@example(eq=np.zeros(1, bool))
+@example(eq=np.ones(300, bool))
+@example(eq=np.zeros(300, bool))
+@example(eq=np.array([True] * 5 + [False] + [True] * 5))
+@settings(max_examples=400, deadline=None)
+def test_longest_run_matches_flatnonzero_oracle(eq):
+    assert _longest_run(eq) == longest_run_oracle(eq)
 
 
 @st.composite
@@ -509,6 +599,34 @@ def test_negative_horizon_is_refused_for_every_source(source):
     with pytest.raises(ValueError, match="prefix length must be >= 0, got -1"):
         occurrences(Word.from_text("a"), source, -1)
     assert len(Text(source, 0)) == 0
+
+
+def text_oracle(letters):
+    """(alphabet, codes, string) ranked with dict.fromkeys and np.fromiter."""
+    alphabet = tuple(dict.fromkeys(letters))
+    rank = {tok: k for k, tok in enumerate(alphabet)}
+    dtype = np.min_scalar_type(max(len(alphabet) - 1, 0))
+    codes = np.fromiter(map(rank.__getitem__, letters), dtype, len(letters))
+    string = codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    return alphabet, codes, string
+
+
+@given(letters=st.integers(1, 400).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1).map(str), max_size=1500)))
+@example(letters=[])
+@example(letters=[str(k) for k in range(300)] * 2)
+# ranks past 0xD800 are lone surrogates in the str
+@example(letters=[str(k) for k in range(70000)])
+@settings(max_examples=150, deadline=None)
+def test_text_ranks_match_oracle(letters):
+    alphabet, codes, string = text_oracle(letters)
+    text = Text(letters)
+    assert text.alphabet == alphabet
+    assert text.codes.dtype == codes.dtype
+    assert np.array_equal(text.codes, codes)
+    assert text.string == string
+    with pytest.raises(ValueError, match="read-only"):
+        text.codes[...] = 0
 
 
 def test_more_than_256_distinct_letters():

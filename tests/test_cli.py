@@ -139,6 +139,25 @@ def test_analyze_refuses_an_option_that_does_not_apply(capsys, argv, message):
     assert captured.out == ""
 
 
+# each of these options is read by one kind of analysis only
+READERS = {"--max-window": "balanced", "--min-period": "power",
+           "--max-period": "power", "--max-len": "bispecial"}
+
+
+@pytest.mark.parametrize("kind, option", [
+    (kind, option) for option, reader in READERS.items()
+    for kind in ("occurrences", "returns", "bispecial", "balanced", "derived", "power")
+    if kind != reader
+])
+def test_analyze_refuses_an_option_its_kind_does_not_read(capsys, kind, option):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze", kind, "--word", "aba", option, "3"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert f"{option} only applies to analyze {READERS[option]}" in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_power_word(capsys):
     code, out = run(capsys, "analyze", "power", "--word", "kabelka")
     assert code == 0

@@ -47,6 +47,9 @@ ANALYZE = {
     "--max-period": (PERIODS, 2),
     "--max-len": (st.integers(-1, 8), 2),
 }
+# the one kind that reads each of these; any other kind refuses it
+ANALYZE_READERS = {"--max-window": "balanced", "--min-period": "power",
+                   "--max-period": "power", "--max-len": "bispecial"}
 VERIFY = {
     "levels": ("--n", SPANS),
     "max_coefficient": ("--max", SMALL),
@@ -72,9 +75,12 @@ def argvs(draw) -> list[str]:
         parts += [option(flag, *spec) for flag, spec in GENERATE.items()]
         parts.append(draw(st.sampled_from([[], ["--hatted"]])))
     elif command == "analyze":
-        parts.append([draw(st.sampled_from(["occurrences", "returns", "bispecial",
-                                            "balanced", "derived", "power"]))])
-        parts += [option(flag, *spec) for flag, spec in ANALYZE.items()]
+        kind = draw(st.sampled_from(["occurrences", "returns", "bispecial",
+                                     "balanced", "derived", "power"]))
+        parts.append([kind])
+        # an option the kind does not read is drawn rarely: it is always a usage error
+        parts += [option(flag, values, odds if ANALYZE_READERS.get(flag, kind) == kind else 12)
+                  for flag, (values, odds) in ANALYZE.items()]
     elif command == "bound":
         parts += [option("--delta", DELTAS, 1), option("--d", SMALL, 2),
                   draw(st.sampled_from([[], ["--check-coarse-bound"]]))]

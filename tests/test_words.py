@@ -39,6 +39,34 @@ def test_letter_helpers():
         coloured_letter(10)
 
 
+def discolour_letter_oracle(letter: str) -> str:
+    """The rule itself, decided afresh on every call."""
+    if letter in ("a", "b"):
+        return letter
+    return "b" if letter.endswith("'") else "a"
+
+
+COLOUR_LETTERS = ["a", "b"] + [coloured_letter(i, hat) for i in range(1, 10)
+                               for hat in (False, True)]
+
+
+def test_discolour_letter_matches_oracle_on_every_colour_letter():
+    # the letters of every colouring (delta = 1..9), a and b
+    assert [discolour_letter(tok) for tok in COLOUR_LETTERS] == [
+        discolour_letter_oracle(tok) for tok in COLOUR_LETTERS]
+
+
+@given(letter=st.text(max_size=4))
+@example("'")
+@example("a'")
+@example("ab")
+@settings(max_examples=300)
+def test_discolour_letter_matches_oracle(letter):
+    # twice: the first call decides the letter, the second reads it back
+    assert discolour_letter(letter) == discolour_letter_oracle(letter)
+    assert discolour_letter(letter) == discolour_letter_oracle(letter)
+
+
 def test_word_text_round_trip():
     for text in ("abaab", "1 1' 3 2 3'", "", "a"):
         assert Word.from_text(text).to_text() == text
