@@ -8,6 +8,13 @@ horizons should be generous relative to the factor lengths involved
 (return-word scans want the horizon to exceed the last used occurrence plus
 twice the largest gap seen).
 
+The per-factor queries (`occurrences`, `return_words`, `derived_sequence`)
+reuse the Text of the last list, tuple, Word or str snapshot they encoded
+while the same letters come back, and hold only that one. The scans
+(`max_fractional_power`, `is_balanced`, `bispecial_factors`) build a fresh
+Text per call and neither read nor replace it, so a long scanned snapshot is
+freed on return. Pass a prebuilt Text to share one encoding everywhere.
+
 A Text codes each letter by its rank of first appearance, in one pass, both
 as a str for C-speed substring search and as a read-only numpy array; its
 letters are a tuple, so a factor or return word is one slice of it. Exponents
@@ -55,14 +62,7 @@ class Text:
             if horizon is not None:
                 raise ValueError("a Text is already a finite snapshot; pass no horizon with it")
             return source
-        if horizon is not None and horizon < 0:
-            raise ValueError(f"prefix length must be >= 0, got {horizon}")
-        if isinstance(source, SequenceGenerator):
-            if horizon is None:
-                raise ValueError("horizon is required when analysing a generator")
-            letters = tuple(source.letters(horizon))
-        else:
-            letters = tuple(source)[:horizon]
+        letters = _cut(source, horizon)
         self = super().__new__(cls)
         self.letters = letters
         self._rank = ranks = _Ranks()
@@ -92,6 +92,41 @@ class _Ranks(dict):
 
 
 Source = SequenceGenerator | Word | Text | Sequence[str] | str
+
+
+def _cut(source: Source, horizon: int | None) -> tuple[str, ...]:
+    """The letters of a snapshot: a generator's first `horizon`, any other source cut at it."""
+    if horizon is not None and horizon < 0:
+        raise ValueError(f"prefix length must be >= 0, got {horizon}")
+    if isinstance(source, SequenceGenerator):
+        if horizon is None:
+            raise ValueError("horizon is required when analysing a generator")
+        return tuple(source.letters(horizon))
+    return tuple(source)[:horizon]
+
+
+# the Text of the last list, tuple, Word or str snapshot a per-factor query encoded
+_query_text: Text | None = None
+
+
+def _query_snapshot(source: Source, horizon: int | None) -> Text:
+    """The Text for a per-factor query, reused while the same letters come back.
+
+    Callers ask about many factors of one snapshot; comparing its letters with
+    the last ones encoded is a C-level tuple comparison, several times cheaper
+    than ranking them again. The old Text is dropped before a new one is built,
+    so at most one is held. The scans build their own Text and leave this one
+    alone, so a long scanned snapshot is freed when its scan returns.
+    """
+    global _query_text
+    if isinstance(source, (Text, SequenceGenerator)):
+        return Text(source, horizon)
+    letters = _cut(source, horizon)
+    text = _query_text
+    if text is None or text.letters != letters:
+        _query_text = text = None  # free the old snapshot before building the new one
+        _query_text = text = Text(letters)
+    return text
 
 
 @dataclass(frozen=True)
@@ -202,13 +237,13 @@ def _return_walk(factor: Word, text: Text) -> tuple[int, list[tuple[int, int]], 
 
 def occurrences(factor: Word, source: Source, horizon: int | None = None) -> OccurrenceList:
     """All start positions of `factor` inside the snapshot."""
-    text = Text(source, horizon)
+    text = _query_snapshot(source, horizon)
     return OccurrenceList(factor, tuple(_positions(factor, text)), len(text))
 
 
 def return_words(factor: Word, source: Source, horizon: int | None = None) -> ReturnWordSet:
     """Distinct words separating consecutive occurrences of `factor`."""
-    text = Text(source, horizon)
+    text = _query_snapshot(source, horizon)
     count, firsts, _ = _return_walk(factor, text)
     if count < 2:
         name = (repr(factor.to_text()) if len(factor) <= 30
@@ -379,7 +414,7 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
     first appearance ("1", "2", ...), and the output covers every complete
     return word the horizon certifies.
     """
-    text = Text(source, horizon)
+    text = _query_snapshot(source, horizon)
     if tuple(factor) != text.letters[: len(factor)]:
         raise ValueError(f"factor {factor.to_text()!r} is not a prefix of the sequence")
     count, _, walk = _return_walk(factor, text)

@@ -495,19 +495,23 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     p_ver.set_defaults(suite_options={a.dest: a.option_strings[0] for a in suite_options})
 
+    # a handler's usage errors print its subcommand's usage, as argparse's own do
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = args.command_parser
     if args.format == "csv" and args.command != "table":
-        parser.error("--format csv is only available for the table command")
+        command.error("--format csv is only available for the table command")
 
     try:
         run = {"generate": _cmd_generate, "analyze": _cmd_analyze, "bound": _cmd_bound,
                "table": _cmd_table, "verify": _cmd_verify}[args.command]
-        doc, text, code = run(args, parser)
+        doc, text, code = run(args, command)
     except ValueError as exc:
         # the input was well formed but the analysis cannot be carried out
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqlab import analysis
 from seqlab.analysis import (
     BalanceReport,
     BalanceWitness,
@@ -24,6 +25,7 @@ from seqlab.analysis import (
 from seqlab.golden import fib
 from seqlab.words import (
     PeriodicGenerator,
+    SequenceGenerator,
     Word,
     colouring,
     fibonacci_sequence,
@@ -539,6 +541,9 @@ def outcome(call):
         return ("ValueError", str(exc))
 
 
+QUERIES = (occurrences, return_words, derived_sequence)
+
+
 def analyses(source, horizon, factor, n):
     return {
         "occurrences": outcome(lambda: occurrences(factor, source, horizon)),
@@ -596,9 +601,84 @@ def test_text_is_reused_and_refuses_a_horizon():
 def test_negative_horizon_is_refused_for_every_source(source):
     with pytest.raises(ValueError, match="prefix length must be >= 0, got -2"):
         Text(source, -2)
-    with pytest.raises(ValueError, match="prefix length must be >= 0, got -1"):
-        occurrences(Word.from_text("a"), source, -1)
+    factor = Word.from_text("a")
+    for query in QUERIES:
+        if not isinstance(source, SequenceGenerator):
+            # the reused snapshot now holds exactly the letters a cut at -1 would give
+            query(factor, source, len(source) - 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="prefix length must be >= 0, got -1"):
+                query(factor, source, -1)
     assert len(Text(source, 0)) == 0
+
+
+def query_outcomes(factor, source, horizon=None):
+    return [outcome(lambda q=q: q(factor, source, horizon)) for q in QUERIES]
+
+
+@given(
+    letters=st.lists(st.sampled_from("abc"), max_size=60),
+    # a length takes the factor from the letters' prefix, so derived_sequence has one
+    factor=st.integers(1, 4) | st.lists(st.sampled_from("abcd"), min_size=1, max_size=4),
+    horizons=st.tuples(st.integers(0, 70), st.integers(0, 70)),
+    edit=st.tuples(st.integers(0, 59), st.sampled_from("abcd")),
+)
+# a factor whose letter no snapshot holds
+@example(letters=list("abaababaab"), factor=["d"], horizons=(4, 10), edit=(3, "b"))
+# an edit that writes the letter already there, and two equal horizons
+@example(letters=list("abaababaab"), factor=3, horizons=(6, 6), edit=(2, "a"))
+# an edit that adds the factor's only letter
+@example(letters=list("ababab"), factor=["c"], horizons=(0, 3), edit=(5, "c"))
+@settings(max_examples=200, deadline=None)
+def test_query_snapshot_reuse_matches_a_fresh_text(letters, factor, horizons, edit):
+    if isinstance(factor, int):
+        factor = letters[:factor] or ["a"]
+    factor = Word(factor)
+
+    def check(source, horizon=None):
+        got = query_outcomes(factor, source, horizon)
+        assert got == query_outcomes(factor, Text(list(source), horizon))
+        assert analysis._query_text.letters == tuple(source)[:horizon]
+
+    check(letters)
+    check(letters)  # the same object again
+    check(list(letters))  # an equal list that is another object
+    for form in (tuple, "".join, Word):
+        check(form(letters))
+    for horizon in horizons:
+        check(letters, horizon)
+    where, letter = edit
+    if letters:
+        letters[where % len(letters)] = letter
+    else:
+        letters.append(letter)
+    check(letters)  # mutated in place since the last call
+
+
+def test_scans_neither_read_nor_replace_the_query_snapshot(monkeypatch):
+    built = []
+
+    class CountedRanks(analysis._Ranks):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(analysis, "_Ranks", CountedRanks)
+    monkeypatch.setattr(analysis, "_query_text", None)
+    snapshot = fibonacci_sequence().letters(3000)
+    factor = Word.from_text("abaab")
+    first = return_words(factor, snapshot)
+    held = analysis._query_text
+    assert held.letters == tuple(snapshot) and len(built) == 1
+    scans = (max_fractional_power, is_balanced, bispecial_factors)
+    # each scan encodes its own Text, even of the letters the queries hold
+    for source in (list(snapshot), colouring(2).letters(500), list("abaabba")):
+        for scan in scans:
+            scan(source)
+    assert len(built) == 1 + 3 * len(scans)
+    assert analysis._query_text is held
+    assert return_words(factor, snapshot) == first
+    assert analysis._query_text is held and len(built) == 1 + 3 * len(scans)
 
 
 def text_oracle(letters):

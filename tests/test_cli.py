@@ -281,6 +281,33 @@ def test_csv_only_for_table(capsys):
                            "--format", "csv") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--sequence", "fibonacci", "--length", "-1"], "--length must be >= 0"),
+    (["generate", "--sequence", "fibonacci", "--length", "3", "--format", "csv"],
+     "--format csv is only available for the table command"),
+    (["analyze", "bispecial", "--sequence", "fibonacci", "--delta", "3"],
+     "--delta only applies to colouring"),
+    (["analyze", "power", "--word", "ab", "--format", "csv"],
+     "--format csv is only available for the table command"),
+    (["bound", "--d", "3"], "--d must be an even integer in 2..18"),
+    (["bound", "--delta", "1", "--format", "csv"],
+     "--format csv is only available for the table command"),
+    (["table", "--d-max", "5"], "--d-max must be an even integer in 2..10"),
+    (["verify", "--suite", "fib-properties", "--samples", "3"],
+     "--suite fib-properties does not take --samples"),
+    (["verify", "--suite", "fib-properties", "--format", "csv"],
+     "--format csv is only available for the table command"),
+])
+def test_handler_usage_errors_name_their_subcommand(capsys, argv, message):
+    # the same prefix and usage that argparse's own errors for the subcommand print
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: seqlab {argv[0]} [-h]")
+    assert err.splitlines()[-1] == f"seqlab {argv[0]}: error: {message}"
+
+
 def test_verify_fib_properties(capsys):
     code, out = run(capsys, "verify", "--suite", "fib-properties", "--n", "200")
     assert code == 0
