@@ -19,12 +19,19 @@ A Text codes each letter by its rank of first appearance, in one pass, both
 as a str for C-speed substring search and as a read-only numpy array; its
 letters are a tuple, so a factor or return word is one slice of it. Exponents
 and counts are exact (ints and Fractions); numpy holds the letter codes,
-boolean mismatch masks, int32 suffix ranks and LCPs, and prefix sums modulo
+boolean mismatch masks, int32 doubling names and LCPs, and prefix sums modulo
 the narrowest unsigned type that holds every window count.
 
-`bispecial_factors` reads the bispecial factors off the suffix array and LCP
-array (Kasai et al. 2001) as lcp-intervals (Abouelhoda, Kurtz and Ohlebusch
-2004) with two right and two left letters.
+A Text also keeps the doubling names of Karp, Miller and Rosenberg (1972),
+built level by level on first use: two positions share a level-k name exactly
+when the 2^k letters from there are equal. The per-factor queries read them
+with whole-array numpy work and no loop over occurrences: one str.find finds
+a first occurrence and two name comparisons find the rest, and two gaps
+between occurrences are the same return word exactly when their lengths and
+the names of their two ends agree. `bispecial_factors` sorts the suffixes
+with the same doubling rounds and reads the bispecial factors off the suffix
+array and LCP array (Kasai et al. 2001) as lcp-intervals (Abouelhoda, Kurtz
+and Ohlebusch 2004) with two right and two left letters.
 
 The period scan of `max_fractional_power` locates runs only on periods that
 can beat the best exponent found so far: whether the agreement mask of a
@@ -38,6 +45,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -55,7 +63,7 @@ class Text:
     from a Text returns it unchanged; it is already cut, so a horizon is refused.
     """
 
-    __slots__ = ("letters", "alphabet", "codes", "string", "_rank")
+    __slots__ = ("letters", "alphabet", "codes", "string", "_rank", "_levels", "_top")
 
     def __new__(cls, source: Source, horizon: int | None = None) -> Text:
         if isinstance(source, Text):
@@ -71,6 +79,8 @@ class Text:
         wide = np.frombuffer(self.string.encode("utf-32-le", "surrogatepass"), "<u4")
         self.codes = wide.astype(np.min_scalar_type(max(len(ranks) - 1, 0)))
         self.codes.flags.writeable = False
+        self._levels: list[np.ndarray] = []
+        self._top = len(ranks)  # the largest name of the last level built
         return self
 
     def __len__(self) -> int:
@@ -81,6 +91,56 @@ class Text:
         # get, not [], which would rank a letter the snapshot lacks
         coded = list(map(self._rank.get, word))
         return None if None in coded else "".join(coded)
+
+    def _names(self, k: int) -> np.ndarray:
+        """Level-k doubling names (Karp, Miller and Rosenberg 1972): int32, n + 1
+        long, equal at two positions exactly when the 2^k letters from there are
+        equal, ranked from 1 in their lexicographic order, and 0 at the
+        past-the-end index n, so a window running off the end equals no other.
+
+        Levels are built on first use and kept. Once every position has its own
+        name the next levels would repeat it, so that level answers for them.
+        """
+        levels, n = self._levels, len(self)
+        if not levels:
+            names = np.zeros(n + 1, np.int32)
+            np.add(self.codes, 1, out=names[:n])
+            levels.append(names)
+        while len(levels) <= k and self._top < n:
+            names, self._top = _double(levels[-1], 1 << (len(levels) - 1), self._top)
+            levels.append(names)
+        return levels[min(k, len(levels) - 1)]
+
+
+def _double(names: np.ndarray, width: int, top: int) -> tuple[np.ndarray, int]:
+    """One doubling round, shared by the query names and the suffix array: the
+    names of 2 * width letters, as the dense rank of the pairs (names[i],
+    names[i + width]), and the largest of them. A pair is packed as names[i] *
+    (top + 1) + names[i + width], which keeps the order; a table ranks the
+    packed pairs when they have few possible values, a sort otherwise. Equal
+    pairs get equal ranks however the sort breaks ties, so it need not be
+    stable. No key outlives its round; the caller keeps only the names.
+    """
+    n, span = names.size - 1, top + 1
+    size = span * span
+    key = names[:n].astype(np.int32 if size <= np.iinfo(np.int32).max else np.int64)
+    key *= span
+    key[: n - width] += names[width:n]
+    doubled = np.zeros(n + 1, np.int32)
+    if size <= 2 * n:
+        seen = np.zeros(size, bool)
+        seen[key] = True
+        rank = np.cumsum(seen, dtype=np.int32)
+        np.take(rank, key, out=doubled[:n])
+        return doubled, int(rank[-1])
+    order = np.argsort(key)
+    key = key[order]
+    fresh = np.ones(n, bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    del key
+    rank = np.cumsum(fresh, dtype=np.int32)
+    doubled[order] = rank
+    return doubled, int(rank[-1])
 
 
 class _Ranks(dict):
@@ -102,7 +162,8 @@ def _cut(source: Source, horizon: int | None) -> tuple[str, ...]:
         if horizon is None:
             raise ValueError("horizon is required when analysing a generator")
         return tuple(source.letters(horizon))
-    return tuple(source)[:horizon]
+    # islice reads no letter past the horizon
+    return tuple(source if horizon is None else islice(source, horizon))
 
 
 # the Text of the last list, tuple, Word or str snapshot a per-factor query encoded
@@ -201,50 +262,81 @@ class FibonacciBispecial:
     other_return: Word
 
 
-def _positions(factor: Word, text: Text) -> list[int]:
+def _positions(factor: Word, text: Text) -> np.ndarray:
+    """Start positions of `factor`, ascending. One str.find gives the first, p;
+    with 2^k <= m = len(factor) < 2^(k + 1), the others are the positions i
+    whose level-k names equal p's at offsets 0 and m - 2^k.
+    """
     if len(factor) == 0:
         raise ValueError("factor must be nonempty")
     pattern = text.encode(factor)
-    positions: list[int] = []
-    if pattern is not None:
-        find = text.string.find
-        pos = find(pattern)
-        while pos != -1:
-            positions.append(pos)
-            pos = find(pattern, pos + 1)
-    return positions
+    first = -1 if pattern is None else text.string.find(pattern)
+    if first < 0:
+        return np.empty(0, np.intp)
+    m = len(factor)
+    k = m.bit_length() - 1
+    names, tail = text._names(k), m - (1 << k)
+    hits = np.flatnonzero(names[: len(text) - m + 1] == names[first])
+    if tail:
+        hits = hits[names[hits + tail] == names[first + tail]]
+    return hits
 
 
-def _return_walk(factor: Word, text: Text) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """One walk over the occurrences of `factor`: the number of occurrences,
-    the (start, end) of the first appearance of each distinct gap between
-    consecutive ones, in order, and the gap index of every step.
+def _first_appearances(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of equal-length integer columns, told apart exactly: the index of
+    each distinct row's first appearance, ascending, and every row's number
+    in that order. The columns are compared as they are, never packed.
+    """
+    order = np.lexsort(columns)  # stable, so equal rows keep their index order
+    repeat = np.zeros(order.size, bool)  # a sorted row equal to the one before it
+    repeat[1:] = True
+    for column in columns:
+        ranked = column[order]
+        repeat[1:] &= ranked[1:] == ranked[:-1]
+    fresh = ~repeat
+    firsts = order[fresh]
+    by_first = np.argsort(firsts)
+    walk = np.empty_like(order)
+    walk[order] = np.argsort(by_first)[np.cumsum(fresh) - 1]
+    return firsts[by_first], walk
+
+
+def _return_walk(factor: Word, text: Text) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One walk over the occurrences of `factor`: their positions, the index of
+    the first appearance of each distinct gap between consecutive ones, in
+    order, and the gap number of every step.
+
+    A gap no longer than the factor is its prefix, so its length names it. A
+    longer one is the factor followed by a middle of M letters, named by its
+    length and, with 2^k <= M < 2^(k + 1), the level-k names at the middle's
+    start and 2^k letters before its end.
     """
     positions = _positions(factor, text)
-    index: dict[str, int] = {}
-    firsts: list[tuple[int, int]] = []
-    walk: list[int] = []
-    string = text.string
-    for start, end in zip(positions, positions[1:]):
-        gap = string[start:end]
-        k = index.get(gap)
-        if k is None:
-            k = index[gap] = len(firsts)
-            firsts.append((start, end))
-        walk.append(k)
-    return len(positions), firsts, walk
+    m = len(factor)
+    lengths = positions[1:] - positions[:-1]
+    heads = np.zeros(lengths.size, np.int32)
+    tails = np.zeros(lengths.size, np.int32)
+    long = np.flatnonzero(lengths > m)
+    starts, ends = positions[long] + m, positions[long + 1]
+    levels = np.frexp(ends - starts)[1] - 1  # floor(log2 M), exact below 2^53
+    for k in np.flatnonzero(np.bincount(levels)).tolist():
+        names, at = text._names(k), levels == k
+        heads[long[at]] = names[starts[at]]
+        tails[long[at]] = names[ends[at] - (1 << k)]
+    return (positions, *_first_appearances(tails, heads, lengths))
 
 
 def occurrences(factor: Word, source: Source, horizon: int | None = None) -> OccurrenceList:
     """All start positions of `factor` inside the snapshot."""
     text = _query_snapshot(source, horizon)
-    return OccurrenceList(factor, tuple(_positions(factor, text)), len(text))
+    return OccurrenceList(factor, tuple(_positions(factor, text).tolist()), len(text))
 
 
 def return_words(factor: Word, source: Source, horizon: int | None = None) -> ReturnWordSet:
     """Distinct words separating consecutive occurrences of `factor`."""
     text = _query_snapshot(source, horizon)
-    count, firsts, _ = _return_walk(factor, text)
+    positions, firsts, _ = _return_walk(factor, text)
+    count = positions.size
     if count < 2:
         name = (repr(factor.to_text()) if len(factor) <= 30
                 else f"of length {len(factor)} starting {factor[:30].to_text()!r}")
@@ -252,46 +344,32 @@ def return_words(factor: Word, source: Source, horizon: int | None = None) -> Re
             f"factor {name} occurs {count} time(s) "
             "in the snapshot; need at least 2 to observe a return word"
         )
-    half = len(text) // 2
-    complete = all(end <= half for _, end in firsts)
-    returns = tuple(Word(text.letters[start:end]) for start, end in firsts)
+    starts, ends = positions[firsts].tolist(), positions[firsts + 1].tolist()
+    complete = max(ends) <= len(text) // 2
+    returns = tuple(Word(text.letters[start:end]) for start, end in zip(starts, ends))
     return ReturnWordSet(factor, returns, complete)
 
 
-def _suffix_array(codes: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _suffix_array(text: Text, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Suffix order by the first `depth` letters (ties by position) and each
     suffix's LCP with the one before it in that order, capped at `depth`.
 
-    Prefix doubling keeps every round's ranks of the first 2^k letters, with
-    rank 0 for "past the end" at index n, and the LCP is binary lifting over
-    them: two suffixes that share lcp letters share 2^k more exactly when
-    their round-k ranks at offset lcp are equal.
+    The order is a stable sort of the names of the first 2^k >= depth letters
+    (fewer once every suffix has its own name), and the LCP is binary lifting
+    over the names of every level up to it: two suffixes that share lcp
+    letters share 2^k more exactly when their level-k names at offset lcp
+    are equal.
     """
-    n = codes.size
-    rank = np.zeros(n + 1, np.int32)
-    rank[:n] = codes
-    rank[:n] += 1
-    levels = [rank]
-    width = 1
-    order = np.argsort(rank[:n], kind="stable")
-    while width < depth and rank.max() < n:
-        key = rank[:n].astype(np.int64)
-        key *= n + 1
-        key[: n - width] += rank[width:n]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        fresh = np.ones(n, bool)
-        np.not_equal(key[1:], key[:-1], out=fresh[1:])
-        rank = np.zeros(n + 1, np.int32)
-        rank[order] = np.cumsum(fresh, dtype=np.int32)
-        levels.append(rank)
-        width *= 2
-    order = order.astype(np.int32)
+    n, last = len(text), (depth - 1).bit_length()  # the least k with 2^k >= depth
+    text._names(last)
+    levels = text._levels[: last + 1]
+    order = np.argsort(levels[-1][:n], kind="stable").astype(np.int32)
     lcp = np.zeros(n, np.int32)  # lcp[0] stays 0: no suffix before the first
     above, below = order[:-1], order[1:]
     for k in reversed(range(len(levels))):
+        # the offsets stay <= n: distinct positions share names only on full windows
         level, shared = levels[k], lcp[1:]
-        agree = level[np.minimum(above + shared, n)] == level[np.minimum(below + shared, n)]
+        agree = level[above + shared] == level[below + shared]
         shared[agree] += 1 << k
     return order, np.minimum(lcp, depth, out=lcp)
 
@@ -312,14 +390,14 @@ def bispecial_factors(source: Source, horizon: int | None = None, max_len: int =
     if len(text.alphabet) < 2:
         return []
     n = len(text)
-    order, lcp = _suffix_array(text.codes, max_len + 1)
+    order, lcp = _suffix_array(text, max_len + 1)
     # left letters in suffix order and how often they change; the suffix at 0
     # has none and borrows the one before it, which is in its group unless it
     # starts the group, and then it is skipped
     first = int(np.argmin(order))
     left = text.codes[order - 1]
     left[first] = left[first - 1]
-    turns = np.cumsum(np.diff(left, prepend=left[0]) != 0)
+    turns = np.cumsum(np.diff(left, prepend=left[0]) != 0, dtype=np.int32)
     found = [Word()]
     starts = np.flatnonzero(lcp == 0)
     for length in range(1, min(max_len, int(lcp.max())) + 1):
@@ -417,10 +495,10 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
     text = _query_snapshot(source, horizon)
     if tuple(factor) != text.letters[: len(factor)]:
         raise ValueError(f"factor {factor.to_text()!r} is not a prefix of the sequence")
-    count, _, walk = _return_walk(factor, text)
-    if count < 2:
+    positions, _, walk = _return_walk(factor, text)
+    if positions.size < 2:
         raise ValueError("need at least 2 occurrences to derive")
-    return Word(str(k + 1) for k in walk)
+    return Word(map(str, (walk + 1).tolist()))
 
 
 def parikh_is_fib_factor(k: int, ell: int) -> bool:

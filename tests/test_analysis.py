@@ -1,3 +1,4 @@
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -718,3 +719,151 @@ def test_more_than_256_distinct_letters():
     assert found.positions == (256, 556)
     record = max_fractional_power(letters, min_period=2)
     assert (record.exponent, record.period, record.position) == (Fraction(610, 300), 300, 0)
+
+
+def positions_oracle(factor, text):
+    """Start positions of `factor` by the str.find loop the queries once ran."""
+    pattern = text.encode(factor)
+    positions = []
+    if pattern is not None:
+        find = text.string.find
+        pos = find(pattern)
+        while pos != -1:
+            positions.append(pos)
+            pos = find(pattern, pos + 1)
+    return positions
+
+
+def return_walk_oracle(factor, text):
+    """(count, (start, end) of each distinct gap's first appearance, gap number
+    of every step) by the loop over occurrences the queries once ran."""
+    positions = positions_oracle(factor, text)
+    index, firsts, walk = {}, [], []
+    for start, end in zip(positions, positions[1:]):
+        gap = text.string[start:end]
+        k = index.get(gap)
+        if k is None:
+            k = index[gap] = len(firsts)
+            firsts.append((start, end))
+        walk.append(k)
+    return len(positions), firsts, walk
+
+
+WIDE = [f"x{i}" for i in range(300)]
+
+
+@st.composite
+def walk_cases(draw):
+    """(letters, factor, horizon): words over 1-4 letters, random or periodic
+    with a few edits, runs a^n with a few other letters, or repeats of a root
+    of 257-300 letters (uint16 codes, long gaps) with a few edits; the factor
+    is a slice of the letters
+    (occurring once or more) or any word over the letters and a letter no
+    snapshot has, and the horizon cuts the letters or not."""
+    kind = draw(st.sampled_from(["small", "periodic", "run", "wide"]))
+    if kind == "small":
+        alphabet = list("abcd"[: draw(st.integers(1, 4))])
+        letters = draw(st.lists(st.sampled_from(alphabet), max_size=200))
+    elif kind == "periodic":
+        alphabet = list("abcd"[: draw(st.integers(1, 4))])
+        root = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
+        letters = (root * 50)[: draw(st.integers(0, 200))]
+        for _ in range(draw(st.integers(0, 6)) if letters else 0):
+            letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from(alphabet))
+    elif kind == "run":
+        alphabet = ["a", "b"]
+        letters = ["a"] * draw(st.integers(0, 120))
+        for _ in range(draw(st.integers(0, 3)) if letters else 0):
+            letters[draw(st.integers(0, len(letters) - 1))] = "b"
+    else:
+        alphabet = WIDE[: draw(st.integers(257, 300))]
+        letters = alphabet * draw(st.integers(1, 4)) + alphabet[: draw(st.integers(0, 299))]
+        for _ in range(draw(st.integers(0, 4))):
+            letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from(alphabet))
+    horizon = draw(st.none() | st.integers(0, len(letters)))
+    if letters and draw(st.booleans()):
+        start = draw(st.integers(0, len(letters) - 1))
+        factor = letters[start : start + draw(st.integers(1, 40))]
+    else:
+        factor = draw(st.lists(st.sampled_from(alphabet + ["z"]), min_size=1, max_size=6))
+    return letters, Word(factor), horizon
+
+
+@given(case=walk_cases())
+# overlapping occurrences in a run
+@example(case=(["a"] * 40, Word(["a"] * 7), None))
+# gaps one letter longer than the factor, equal but for that letter
+@example(case=(list("abaca"), Word.from_text("a"), None))
+# middles of 3 letters equal but for the first or the last, and of 2 and 3
+# letters with equal ends
+@example(case=(list("abcbabccaccba"), Word.from_text("a"), None))
+@example(case=(list("baabaaab"), Word.from_text("b"), None))
+# no occurrence, one occurrence, a letter the snapshot lacks
+@example(case=(list("abaab"), Word.from_text("bb"), None))
+@example(case=(list("abaab"), Word.from_text("baab"), None))
+@example(case=(list("abaab"), Word.from_text("az"), None))
+# uint16 codes and gaps longer than 256 letters, cut inside the third period
+@example(case=(WIDE * 3, Word(WIDE[:3]), 700))
+@settings(max_examples=300, deadline=None)
+def test_return_walk_matches_loop_oracle(case):
+    letters, factor, horizon = case
+    text = Text(letters, horizon)
+    count, firsts, walk = return_walk_oracle(factor, text)
+    positions, got_firsts, got_walk = analysis._return_walk(factor, text)
+    assert positions.tolist() == positions_oracle(factor, text) and positions.size == count
+    assert [(positions[f], positions[f + 1]) for f in got_firsts.tolist()] == firsts
+    assert got_walk.tolist() == walk
+    assert occurrences(factor, letters, horizon).positions == tuple(positions_oracle(factor, text))
+    if tuple(factor) != text.letters[: len(factor)]:
+        want = ("ValueError", f"factor {factor.to_text()!r} is not a prefix of the sequence")
+    elif count < 2:
+        want = ("ValueError", "need at least 2 occurrences to derive")
+    else:
+        want = Word(str(k + 1) for k in walk)
+    assert outcome(lambda: derived_sequence(factor, letters, horizon)) == want
+
+
+def test_first_appearances_are_exact_near_the_horizon_guard():
+    # rows (L, a, b) of gap lengths and names up to 10^7 + 1: packing them into one
+    # int64 as (L * N + a) * N + b wraps round and makes these two rows collide
+    N = 10**7 + 1
+    shift, rest = divmod(2**64, N * N)
+    rows = [(1, 5, 7), (1 + shift, 5 + rest // N, 7 + rest % N), (1, 5, 7)]
+    assert all(0 <= v <= N for row in rows for v in row)
+    packed = np.array([(L * N + a) * N + b for L, a, b in rows], dtype=object) % 2**64
+    assert packed[0] == packed[1]
+    L, a, b = (np.array(column, np.int64) for column in zip(*rows))
+    firsts, walk = analysis._first_appearances(b, a, L)
+    assert firsts.tolist() == [0, 1] and walk.tolist() == [0, 1, 0]
+
+
+class CountingLetters(Sequence):
+    """A sequence of letters that counts how many are read."""
+
+    def __init__(self, letters):
+        self.letters, self.read = letters, 0
+
+    def __len__(self):
+        return len(self.letters)
+
+    def __getitem__(self, i):
+        self.read += 1
+        return self.letters[i]
+
+    def __iter__(self):
+        for tok in self.letters:
+            self.read += 1
+            yield tok
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, 40, 55, 60, None])
+def test_cut_reads_no_letter_past_the_horizon(horizon):
+    letters = fibonacci_sequence().letters(60)
+    counted = CountingLetters(letters)
+    assert Text(counted, horizon).letters == tuple(letters[:horizon])
+    assert counted.read == len(letters[:horizon])
+    factor = Word.from_text("aba")
+    want = query_outcomes(factor, Text(letters[:horizon]))
+    for form in (list, tuple, "".join, Word):
+        assert query_outcomes(factor, form(letters), horizon) == want
+        assert Text(form(letters), horizon).letters == tuple(letters[:horizon])
