@@ -10,7 +10,8 @@ twice the largest gap seen).
 
 The per-factor queries (`occurrences`, `return_words`, `derived_sequence`)
 reuse the Text of the last list, tuple, Word or str snapshot they encoded
-while the same letters come back, and hold only that one. The scans
+while the same letters come back, and hold only that one, with at most
+16 MiB of its doubling names (below) between queries. The scans
 (`max_fractional_power`, `is_balanced`, `bispecial_factors`) build a fresh
 Text per call and neither read nor replace it, so a long scanned snapshot is
 freed on return. Pass a prebuilt Text to share one encoding everywhere.
@@ -98,47 +99,49 @@ class Text:
         equal, ranked from 1 in their lexicographic order, and 0 at the
         past-the-end index n, so a window running off the end equals no other.
 
-        Levels are built on first use and kept. Once every position has its own
-        name the next levels would repeat it, so that level answers for them.
+        Levels are built on first use and kept until `_shed`. Once every
+        position has its own name the next levels would repeat it, so that
+        level answers for them.
         """
         levels, n = self._levels, len(self)
         if not levels:
             names = np.zeros(n + 1, np.int32)
-            np.add(self.codes, 1, out=names[:n])
+            names[:n] = self.codes  # widen first: code 255 + 1 wraps to 0 in uint8
+            names[:n] += 1
             levels.append(names)
         while len(levels) <= k and self._top < n:
             names, self._top = _double(levels[-1], 1 << (len(levels) - 1), self._top)
             levels.append(names)
         return levels[min(k, len(levels) - 1)]
 
+    def _shed(self, budget: int) -> None:
+        """Drop the highest levels until those left take at most `budget` bytes."""
+        levels, keep = self._levels, budget // (4 * (len(self) + 1))
+        if keep < len(levels):
+            del levels[keep:]
+            self._top = int(levels[-1].max()) if levels else len(self.alphabet)
+
 
 def _double(names: np.ndarray, width: int, top: int) -> tuple[np.ndarray, int]:
     """One doubling round, shared by the query names and the suffix array: the
     names of 2 * width letters, as the dense rank of the pairs (names[i],
     names[i + width]), and the largest of them. A pair is packed as names[i] *
-    (top + 1) + names[i + width], which keeps the order; a table ranks the
-    packed pairs when they have few possible values, a sort otherwise. Equal
-    pairs get equal ranks however the sort breaks ties, so it need not be
-    stable. No key outlives its round; the caller keeps only the names.
+    (top + 1) + names[i + width], which keeps the order, and the packed pairs
+    are ranked by one sort. Equal pairs get equal ranks however the sort breaks
+    ties, so it need not be stable. No key outlives its round; the caller keeps
+    only the names.
     """
     n, span = names.size - 1, top + 1
-    size = span * span
-    key = names[:n].astype(np.int32 if size <= np.iinfo(np.int32).max else np.int64)
+    key = names[:n].astype(np.int32 if span * span <= np.iinfo(np.int32).max else np.int64)
     key *= span
     key[: n - width] += names[width:n]
-    doubled = np.zeros(n + 1, np.int32)
-    if size <= 2 * n:
-        seen = np.zeros(size, bool)
-        seen[key] = True
-        rank = np.cumsum(seen, dtype=np.int32)
-        np.take(rank, key, out=doubled[:n])
-        return doubled, int(rank[-1])
     order = np.argsort(key)
     key = key[order]
     fresh = np.ones(n, bool)
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     del key
     rank = np.cumsum(fresh, dtype=np.int32)
+    doubled = np.zeros(n + 1, np.int32)
     doubled[order] = rank
     return doubled, int(rank[-1])
 
@@ -168,6 +171,9 @@ def _cut(source: Source, horizon: int | None) -> tuple[str, ...]:
 
 # the Text of the last list, tuple, Word or str snapshot a per-factor query encoded
 _query_text: Text | None = None
+# the bytes of doubling levels it keeps between queries, at 4 * (n + 1) bytes a
+# level: 16 levels of 2.6 * 10^5 letters, 4 of 10^6 and none past 4.2 * 10^6
+_QUERY_LEVEL_BYTES = 1 << 24
 
 
 def _query_snapshot(source: Source, horizon: int | None) -> Text:
@@ -178,6 +184,15 @@ def _query_snapshot(source: Source, horizon: int | None) -> Text:
     than ranking them again. The old Text is dropped before a new one is built,
     so at most one is held. The scans build their own Text and leave this one
     alone, so a long scanned snapshot is freed when its scan returns.
+
+    A query builds the doubling levels it reads, 4 * (n + 1) bytes each, and
+    `_done` then keeps the lowest of them within _QUERY_LEVEL_BYTES, so
+    between queries the held Text has at most 16 MiB of levels on top of its
+    letters. While a query runs it holds every level up to the highest it
+    reads, floor(log2 M) + 1 of them for a gap of M letters past the factor:
+    13 levels, 50 MB, for the returns of up to 4880 letters of a coloured
+    bispecial in 10^6 letters. A prebuilt Text passed by the caller keeps
+    every level.
     """
     global _query_text
     if isinstance(source, (Text, SequenceGenerator)):
@@ -188,6 +203,12 @@ def _query_snapshot(source: Source, horizon: int | None) -> Text:
         _query_text = text = None  # free the old snapshot before building the new one
         _query_text = text = Text(letters)
     return text
+
+
+def _done(text: Text) -> None:
+    """Cut the query memo's levels back to _QUERY_LEVEL_BYTES once a query has read them."""
+    if text is _query_text:
+        text._shed(_QUERY_LEVEL_BYTES)
 
 
 @dataclass(frozen=True)
@@ -329,13 +350,16 @@ def _return_walk(factor: Word, text: Text) -> tuple[np.ndarray, np.ndarray, np.n
 def occurrences(factor: Word, source: Source, horizon: int | None = None) -> OccurrenceList:
     """All start positions of `factor` inside the snapshot."""
     text = _query_snapshot(source, horizon)
-    return OccurrenceList(factor, tuple(_positions(factor, text).tolist()), len(text))
+    positions = _positions(factor, text)
+    _done(text)
+    return OccurrenceList(factor, tuple(positions.tolist()), len(text))
 
 
 def return_words(factor: Word, source: Source, horizon: int | None = None) -> ReturnWordSet:
     """Distinct words separating consecutive occurrences of `factor`."""
     text = _query_snapshot(source, horizon)
     positions, firsts, _ = _return_walk(factor, text)
+    _done(text)
     count = positions.size
     if count < 2:
         name = (repr(factor.to_text()) if len(factor) <= 30
@@ -496,6 +520,7 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
     if tuple(factor) != text.letters[: len(factor)]:
         raise ValueError(f"factor {factor.to_text()!r} is not a prefix of the sequence")
     positions, _, walk = _return_walk(factor, text)
+    _done(text)
     if positions.size < 2:
         raise ValueError("need at least 2 occurrences to derive")
     return Word(map(str, (walk + 1).tolist()))

@@ -409,6 +409,17 @@ def test_derived_sequence_to_letter(fib_text):
     assert len(derived) > 0
 
 
+@pytest.mark.parametrize("level", [1, 4, 8])
+def test_returns_no_longer_than_the_factor_build_only_its_level(level):
+    # both returns of a Fibonacci bispecial are shorter than it, so the walk
+    # names them by length and reads no level past the occurrence search's
+    fb = fibonacci_bispecial(level)
+    text = Text(fibonacci_sequence(), 40 * fib(level + 3))
+    walk = derived_sequence(fb.word, text)
+    assert set(walk.to_text()) == {"1", "2"}
+    assert len(text._levels) == len(fb.word).bit_length()
+
+
 def test_derived_sequence_requires_prefix(fib_snapshot):
     with pytest.raises(ValueError):
         derived_sequence(Word.from_text("b"), fib_snapshot)
@@ -682,6 +693,25 @@ def test_scans_neither_read_nor_replace_the_query_snapshot(monkeypatch):
     assert analysis._query_text is held and len(built) == 1 + 3 * len(scans)
 
 
+@pytest.mark.parametrize("kept", [0, 3])
+def test_query_memo_sheds_levels_past_its_budget(monkeypatch, kept):
+    letters = WIDE * 20
+    budget = kept * 4 * (len(letters) + 1)
+    monkeypatch.setattr(analysis, "_query_text", None)
+    monkeypatch.setattr(analysis, "_QUERY_LEVEL_BYTES", budget)
+    factor = Word(WIDE[:3])  # gaps of 300 letters read the level-8 names
+    full = Text(letters)
+    want = [return_words(factor, full), derived_sequence(factor, full), occurrences(factor, full)]
+    assert len(full._levels) == 9  # a prebuilt Text keeps every level
+    for _ in range(2):
+        assert [return_words(factor, letters), derived_sequence(factor, letters),
+                occurrences(factor, letters)] == want
+        held = analysis._query_text
+        assert len(held._levels) == kept and sum(a.nbytes for a in held._levels) <= budget
+    # levels built again from the kept ones are those a fresh Text builds
+    assert all(np.array_equal(held._names(k), full._names(k)) for k in range(9))
+
+
 def text_oracle(letters):
     """(alphabet, codes, string) ranked with dict.fromkeys and np.fromiter."""
     alphabet = tuple(dict.fromkeys(letters))
@@ -721,6 +751,34 @@ def test_more_than_256_distinct_letters():
     assert (record.exponent, record.period, record.position) == (Fraction(610, 300), 300, 0)
 
 
+@pytest.mark.parametrize("width", [256, 65536])
+@pytest.mark.parametrize("tail", [[-2], [-2, -1, 0, 1, -2, -1], [-1, 0, -2, -1, 0]])
+def test_codes_at_the_top_of_their_dtype(width, tail):
+    # the last letter's code is the largest its dtype holds, and its level-0 name
+    # one more, so no window of it may share the name 0 of the past-the-end slot
+    alphabet = [f"x{i}" for i in range(width)]
+    letters = alphabet + [alphabet[k] for k in tail]
+    text = Text(letters)
+    assert text.codes.dtype.itemsize == (1 if width == 256 else 2)
+    names = text._names(0)
+    assert names[-1] == 0 and names[:-1].min() == 1 and names.max() == width
+    want = brute_force_bispecials(letters, 4)
+    assert bispecial_factors(letters, None, 4) == want and len(want) >= (len(tail) > 1) + 1
+    if width == 256:
+        assert want == frontier_bispecials(letters, 4)
+    for factor in ([alphabet[-2]], [alphabet[-1]], alphabet[-2:], [alphabet[-1], alphabet[0]]):
+        factor = Word(factor)
+        count, firsts, walk = return_walk_oracle(factor, text)
+        positions, got_firsts, got_walk = analysis._return_walk(factor, text)
+        assert positions.tolist() == positions_oracle(factor, text) and positions.size == count
+        assert [(positions[f], positions[f + 1]) for f in got_firsts.tolist()] == firsts
+        assert got_walk.tolist() == walk
+        assert occurrences(factor, letters).positions == tuple(positions.tolist())
+        if count >= 2:
+            assert return_words(factor, letters).returns == tuple(
+                Word(letters[start:end]) for start, end in firsts)
+
+
 def positions_oracle(factor, text):
     """Start positions of `factor` by the str.find loop the queries once ran."""
     pattern = text.encode(factor)
@@ -756,7 +814,8 @@ WIDE = [f"x{i}" for i in range(300)]
 def walk_cases(draw):
     """(letters, factor, horizon): words over 1-4 letters, random or periodic
     with a few edits, runs a^n with a few other letters, or repeats of a root
-    of 257-300 letters (uint16 codes, long gaps) with a few edits; the factor
+    of 256-300 letters (the top uint8 code or uint16 codes, long gaps) with a
+    few edits; the factor
     is a slice of the letters
     (occurring once or more) or any word over the letters and a letter no
     snapshot has, and the horizon cuts the letters or not."""
@@ -776,7 +835,7 @@ def walk_cases(draw):
         for _ in range(draw(st.integers(0, 3)) if letters else 0):
             letters[draw(st.integers(0, len(letters) - 1))] = "b"
     else:
-        alphabet = WIDE[: draw(st.integers(257, 300))]
+        alphabet = WIDE[: draw(st.integers(256, 300))]
         letters = alphabet * draw(st.integers(1, 4)) + alphabet[: draw(st.integers(0, 299))]
         for _ in range(draw(st.integers(0, 4))):
             letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from(alphabet))
@@ -804,6 +863,8 @@ def walk_cases(draw):
 @example(case=(list("abaab"), Word.from_text("az"), None))
 # uint16 codes and gaps longer than 256 letters, cut inside the third period
 @example(case=(WIDE * 3, Word(WIDE[:3]), 700))
+# exactly 256 letters: the last code is the top of uint8
+@example(case=(WIDE[:256] * 2 + WIDE[254:256], Word(WIDE[254:256]), None))
 @settings(max_examples=300, deadline=None)
 def test_return_walk_matches_loop_oracle(case):
     letters, factor, horizon = case
