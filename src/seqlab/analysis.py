@@ -50,7 +50,7 @@ from itertools import islice
 
 import numpy as np
 
-from .golden import GoldenNumber, fib, tau_pow
+from .golden import fib, sqrt5_sign
 from .words import SequenceGenerator, Word, discolour_letter, fibonacci_sequence
 
 
@@ -528,14 +528,12 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
 
 def parikh_is_fib_factor(k: int, ell: int) -> bool:
     """Whether (k, ell) is the Parikh vector of some factor of the Fibonacci
-    word: true exactly when |k - tau*ell| < tau^2, decided in exact golden
-    arithmetic.
+    word: true exactly when |k - tau*ell| < tau^2. Doubled, tau^2 -+ (k - ell*tau)
+    is (3 -+ (2k - ell)) + (1 +- ell)*sqrt(5), so two integer signs decide it.
     """
     if k < 0 or ell < 0:
         raise ValueError("counts must be >= 0")
-    g = GoldenNumber(k, -ell)
-    bound = tau_pow(2)
-    return (bound - g).sign() > 0 and (bound + g).sign() > 0
+    return sqrt5_sign(3 - 2 * k + ell, 1 + ell) > 0 and sqrt5_sign(3 + 2 * k - ell, 1 - ell) > 0
 
 
 def _longest_run(eq: np.ndarray) -> tuple[int, int]:

@@ -15,7 +15,9 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -86,9 +88,45 @@ def _word_json(word: Word) -> dict[str, object]:
     return {"text": word.to_text(), "letters": word}
 
 
-def _letters_json(word: Word) -> list[dict[str, object]]:
-    """json.dumps fallback: a Word's letters, built only for json output."""
-    return [letter_to_json(t) for t in word]
+def _letters_list(word: Word, indent: str) -> str:
+    """A Word as the indented JSON list of its letters, whose closing bracket
+    sits at `indent`; each distinct letter is rendered once.
+    """
+    if not word:
+        return "[]"
+    inner = indent + "  "
+    rendered = {t: json.dumps(letter_to_json(t), indent=2).replace("\n", "\n" + inner)
+                for t in dict.fromkeys(word.letters())}
+    return f"[\n{inner}" + f",\n{inner}".join(map(rendered.__getitem__, word)) + f"\n{indent}]"
+
+
+def _dumps(doc: object) -> str:
+    """json.dumps(doc, indent=2), with each Word written as the list of its letters.
+
+    Words reach the encoder through `default` as one marker string each, and
+    each marker is then replaced by the Word's list, indented to the marker's
+    line. The marker carries a tag that moves on until the markers found in
+    the output are exactly the Words marked, so a document string that
+    equals a marker is written as it is.
+    """
+    for tag in itertools.count():
+        marker = f"\0{tag}"
+        words: list[Word] = []
+
+        def mark(word: object) -> str:
+            if not isinstance(word, Word):
+                raise TypeError(f"Object of type {type(word).__name__} is not JSON serializable")
+            words.append(word)
+            return marker
+
+        pieces = json.dumps(doc, indent=2, default=mark).split(json.dumps(marker))
+        if len(pieces) == len(words) + 1:
+            break
+    out = [pieces[0]]
+    for word, before, after in zip(words, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        out += [_letters_list(word, line[:len(line) - len(line.lstrip(" "))]), after]
+    return "".join(out)
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -387,7 +425,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ou
                              "--samples": (args.samples, 1), "--max-len": (args.max_len, 1),
                              "--letters": (args.letters, 1)})
     kwargs = {}
-    for dest, option in args.suite_options.items():
+    for dest, option in args.suite_options:
         value = getattr(args, dest)
         if value is not None:
             if dest not in takes:
@@ -427,7 +465,11 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ou
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing and the
+    handlers only read it, and SEQLAB_MAX_HORIZON is read per call.
+    """
     parser = argparse.ArgumentParser(
         prog="seqlab",
         description="Balanced sequences from Fibonacci-word colourings: "
@@ -493,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_ver.add_argument("--max-len", type=int),
         p_ver.add_argument("--letters", type=int),
     ]
-    p_ver.set_defaults(suite_options={a.dest: a.option_strings[0] for a in suite_options})
+    p_ver.set_defaults(suite_options=tuple((a.dest, a.option_strings[0]) for a in suite_options))
 
     # a handler's usage errors print its subcommand's usage, as argparse's own do
     for command in sub.choices.values():
@@ -517,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        text = json.dumps(doc, indent=2, default=_letters_json) + "\n"
+        text = _dumps(doc) + "\n"
     if args.output is None:
         sys.stdout.write(text)
     else:

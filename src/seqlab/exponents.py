@@ -9,7 +9,6 @@ renderings and the comparisons with known thresholds included.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .analysis import RepetitionRecord, max_fractional_power
-from .golden import ONE, GoldenNumber, fib, sqrt5_sign, surd_decimal, tau_pow
+from .golden import ONE, GoldenNumber, _floor_surd, fib, sqrt5_sign, surd_decimal, tau_pow
 from .words import ColouringGenerator, SequenceGenerator, colouring
 
 
@@ -130,11 +129,13 @@ def coefficient_lower_bounds(n: int, c: GoldenNumber | None = None) -> Coefficie
     qualifying = 0
     violations: list[tuple[int, int]] = []
     minimal_ok = False
+    cp, cq, _, cs = c.surd()
     for lam in range(0, limit + 1):
-        # row lam: the kappa strictly between lam*tau - c and lam*tau + c, (0, 0) left out
-        centre = GoldenNumber(0, lam)
-        low = max(math.floor(centre - c) + 1, 1 if lam == 0 else 0)
-        high = min(-math.floor(-centre - c) - 1, limit)
+        # row lam: the kappa strictly between lam*tau - c and lam*tau + c, (0, 0) left out;
+        # with m = lam*cs, +-lam*tau - c = ((+-m - 2cp) + (+-m - 2cq)*sqrt(5)) / (2cs)
+        m = lam * cs
+        low = max(_floor_surd(m - 2 * cp, m - 2 * cq, 5, 2 * cs)[0] + 1, 1 if lam == 0 else 0)
+        high = min(-_floor_surd(-m - 2 * cp, -m - 2 * cq, 5, 2 * cs)[0] - 1, limit)
         qualifying += max(high - low + 1, 0)
         if lam == lambda_min:
             minimal_ok = low <= kappa_min <= high

@@ -1,8 +1,8 @@
 """Exact arithmetic in Q(tau), the quadratic field of the golden mean.
 
 Numbers are stored as a + b*tau with rational coefficients, where tau is the
-positive root of x^2 = x + 1. All comparisons are exact: a sign is decided by
-integer (or Fraction) arithmetic alone, never through floating point.
+positive root of x^2 = x + 1. All comparisons are exact: a sign is decided in
+integer arithmetic alone, never through floating point.
 """
 
 from __future__ import annotations
@@ -194,8 +194,12 @@ class GoldenNumber:
         return result
 
     def sign(self) -> int:
-        """Exact sign: a + b*tau = ((2a + b) + b*sqrt(5)) / 2."""
-        return sqrt5_sign(2 * self._a + self._b, self._b)
+        """Exact sign: a + b*tau = ((2a + b) + b*sqrt(5)) / 2, decided in
+        integers by scaling with both (positive) denominators.
+        """
+        a, b = self._a, self._b
+        return sqrt5_sign(2 * a.numerator * b.denominator + b.numerator * a.denominator,
+                          b.numerator * a.denominator)
 
     def __abs__(self) -> GoldenNumber:
         return -self if self.sign() < 0 else self
@@ -297,41 +301,46 @@ def verify_fib_properties(n_max: int) -> FibPropertyReport:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
+    # F_0 .. F_{2N+1}: index addition reaches F_{m+n+1}
+    F = list(map(fib, range(2 * n_max + 2)))
     indices = range(0, n_max + 1)
-    remainders = [GoldenNumber(fib(n + 1), -fib(n)) for n in indices]
-    gaps = (abs(GoldenNumber(Fraction(fib(n + 1), fib(n)), -1)) for n in indices[1:])
-    # Each identity is a lazy stream of (witness, holds) cases in check order,
-    # so only the cases up to its first failure are ever computed.
-    cases = {
+    remainders = [GoldenNumber(F[n + 1], -F[n]) for n in indices]
+    gaps = (abs(GoldenNumber(Fraction(F[n + 1], F[n]), -1)) for n in indices[1:])
+    # Each identity is a lazy stream of the witnesses of its failures in check
+    # order, so only the cases up to its first failure are ever computed.
+    failures = {
         "cassini": (
-            (f"n={n}", fib(n + 1) * fib(n - 1) - fib(n) ** 2 == (-1) ** n) for n in indices[1:]
+            f"n={n}" for n in indices[1:] if F[n + 1] * F[n - 1] - F[n] ** 2 != (-1) ** n
         ),
-        "coprimality": ((f"n={n}", math.gcd(fib(n), fib(n + 1)) == 1) for n in indices),
+        "coprimality": (f"n={n}" for n in indices if math.gcd(F[n], F[n + 1]) != 1),
         # tau_pow(-n) is a field inverse, not the closed form, so both sides are independent
         "golden_remainder": (
-            (f"n={n}", remainders[n] == (-1) ** n * tau_pow(-n)) for n in indices
+            f"n={n}" for n in indices if remainders[n] != (-1) ** n * tau_pow(-n)
         ),
         "ratio_convergence": (
-            (f"n={n}", gap < prev) for n, (prev, gap) in enumerate(pairwise(gaps), start=2)
+            f"n={n}" for n, (prev, gap) in enumerate(pairwise(gaps), start=2) if not gap < prev
         ),
         # at each n the sign is checked before the shrinking magnitude
         "remainder_alternation": (
-            case
+            f"n={n} {part}"
             for n, rem in enumerate(remainders)
-            for case in (
-                (f"n={n} sign", rem.sign() == (-1) ** n),
-                (f"n={n} magnitude", n == 0 or abs(rem) < abs(remainders[n - 1])),
+            for part, holds in (
+                ("sign", rem.sign() == (-1) ** n),
+                ("magnitude", n == 0 or abs(rem) < abs(remainders[n - 1])),
             )
+            if not holds
         ),
+        # row m reads F_{n+1}, F_n and F_{m+n+1} for n = m..N off three slices
         "index_addition": (
-            (f"m={m} n={n}", fib(m + 1) * fib(n + 1) + fib(m) * fib(n) == fib(m + n + 1))
+            f"m={m} n={n}"
             for m in indices
-            for n in indices[m:]
+            for n, x, y, z in zip(indices[m:], F[m + 1:], F[m:], F[2 * m + 1:])
+            if F[m + 1] * x + F[m] * y != z
         ),
     }
     report = FibPropertyReport(n_max=n_max)
-    for name, checks in cases.items():
-        witness = next((witness for witness, holds in checks if not holds), None)
+    for name, witnesses in failures.items():
+        witness = next(witnesses, None)
         report.results[name] = witness is None
         if witness is not None:
             report.failures[name] = witness

@@ -31,10 +31,12 @@ from .words import Word, colouring, discolour_letter, fibonacci_sequence
 Check = tuple[str, bool, str]
 
 # coefficient_lower_bounds(n) counts F_{n+3} + 1 rows, 1.6 times more per level (level
-# 16: 0.2 s); the cap stays where the old pair grid set it, so the accepted levels hold
+# 16: 0.01 s on a 2-CPU machine); the cap stays where the old pair grid set it, so the
+# accepted levels hold
 MAX_COEFFICIENT_LEVEL = 16
 
-# verify_fib_properties(N) checks (N+1)(N+2)/2 pairs; N = 2000 takes over six seconds
+# verify_fib_properties(N) checks (N+1)(N+2)/2 pairs; on a 2-CPU machine N = 1000 takes
+# 0.65 s and N = 2000 about 5 s
 MAX_FIB_PROPERTIES_LEVEL = 1000
 
 
@@ -130,17 +132,34 @@ def golden_sign_suite(*, samples: int = 500, seed: int = 0) -> list[Check]:
     return checks
 
 
+def _recurrence(n: int) -> int:
+    """The Fibonacci word's recurrence function, n >= 1 (Morse and Hedlund 1940):
+    R(n) = F_{k+2} + n - 1 for F_k <= n < F_{k+1}. Every factor of length R(n)
+    holds every factor of length n, so a prefix of R(n) letters shows them all.
+    """
+    k = 2
+    while fib(k + 1) <= n:
+        k += 1
+    return fib(k + 2) + n - 1
+
+
 def parikh_membership_suite(
     *, max_coefficient: int = 60, horizon: int = 10**4, max_horizon: int | None = None
 ) -> list[Check]:
-    """The exact Parikh predicate against a prefix, at 0 <= k, ell <= max_coefficient."""
+    """The exact Parikh predicate against a prefix, at 0 <= k, ell <= max_coefficient.
+    The prefix must show every factor of length 2*max_coefficient.
+    """
     _at_least_one(max_coefficient=max_coefficient, horizon=horizon)
     _guard(horizon, max_horizon)
+    shows_all = _recurrence(2 * max_coefficient)
+    if horizon < shows_all:
+        raise ValueError(f"horizon {horizon} is below {shows_all}, the prefix length that "
+                         f"shows every factor of length {2 * max_coefficient}")
     text = Text(fibonacci_sequence(), horizon)
     is_a = text.codes == text.alphabet.index("a")
     sums = np.concatenate([[0], np.cumsum(is_a, dtype=np.int64)])
     # the numbers of a in the windows of each length
-    observed = {length: set(np.unique(sums[length:] - sums[:-length]).tolist())
+    observed = {length: set(np.flatnonzero(np.bincount(sums[length:] - sums[:-length])).tolist())
                 for length in range(1, 2 * max_coefficient + 1)}
     pairs = [(k, ell) for k in range(max_coefficient + 1)
              for ell in range(max_coefficient + 1) if k + ell > 0]

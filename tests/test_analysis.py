@@ -1,3 +1,4 @@
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from seqlab.analysis import (
     return_words,
     sufficiently_coloured,
 )
-from seqlab.golden import fib
+from seqlab.golden import GoldenNumber, fib, tau_pow
+from seqlab.verify import _interval_sign
 from seqlab.words import (
     PeriodicGenerator,
     SequenceGenerator,
@@ -435,6 +437,43 @@ def test_parikh_membership_small_cases():
     assert not parikh_is_fib_factor(0, 2)
     assert parikh_is_fib_factor(fib(10), fib(9))
     assert not parikh_is_fib_factor(2 * fib(10), 2 * fib(9) + 5)
+
+
+def golden_parikh_oracle(k: int, ell: int) -> bool:
+    """Oracle: |k - tau*ell| < tau^2 in GoldenNumber arithmetic, each sign
+    taken by the interval bracket of sqrt(5)."""
+    g = GoldenNumber(k, -ell)
+    return all(_interval_sign(x.a + x.b / 2, x.b / 2) > 0
+               for x in (tau_pow(2) - g, tau_pow(2) + g))
+
+
+@st.composite
+def parikh_pairs(draw):
+    """(k, ell) up to 10^6, mostly within three of the strip's centre ell*tau."""
+    ell = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 10**6)), ell
+    centre = (ell + math.isqrt(5 * ell * ell)) // 2  # floor(ell*tau)
+    return max(centre + draw(st.integers(-3, 3)), 0), ell
+
+
+@settings(max_examples=300, deadline=None)
+@given(parikh_pairs())
+@example((fib(30), fib(29)))
+@example((fib(30) + 1, fib(29)))
+@example((fib(29), fib(30)))
+@example((10**6, 618034))
+@example((0, 0))
+def test_parikh_strip_matches_golden_oracle(pair):
+    assert parikh_is_fib_factor(*pair) == golden_parikh_oracle(*pair)
+
+
+def test_parikh_strip_edges_match_golden_oracle():
+    # every k within three of floor(ell*tau), at small and large ell
+    for ell in [*range(200), *range(10**6 - 50, 10**6 + 1)]:
+        centre = (ell + math.isqrt(5 * ell * ell)) // 2
+        for k in range(max(centre - 3, 0), centre + 4):
+            assert parikh_is_fib_factor(k, ell) == golden_parikh_oracle(k, ell), (k, ell)
 
 
 def test_max_power_kabelka():

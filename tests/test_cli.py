@@ -338,6 +338,16 @@ def test_verify_parikh_membership_quick(capsys):
     assert "result: pass" in out
 
 
+def test_verify_parikh_membership_refuses_a_short_prefix(capsys):
+    # 30 letters hold no 13-letter window with 9 a's, though the factor exists
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "parikh-membership", "--max", "10", "--horizon", "30"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert "horizon 30 is below 53" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_self_similarity_quick(capsys):
     code, out = run(capsys, "verify", "--suite", "self-similarity", "--n", "1..3")
     assert code == 0

@@ -214,6 +214,54 @@ def test_certificate_matches_grid_oracle(case):
     assert coefficient_lower_bounds(n, c) == grid_certificate(n, c)
 
 
+def golden_row_certificate(n: int, c: GoldenNumber) -> CoefficientBoundCertificate:
+    """Oracle: the certificate's rows bounded by GoldenNumber floors of
+    lam*tau - c and -lam*tau - c."""
+    kappa_min, lambda_min = fib(n + 1), fib(n)
+    limit = fib(n + 3)
+    qualifying = 0
+    violations = []
+    minimal_ok = False
+    for lam in range(0, limit + 1):
+        centre = GoldenNumber(0, lam)
+        low = max(math.floor(centre - c) + 1, 1 if lam == 0 else 0)
+        high = min(-math.floor(-centre - c) - 1, limit)
+        qualifying += max(high - low + 1, 0)
+        if lam == lambda_min:
+            minimal_ok = low <= kappa_min <= high
+        top = high if lam < lambda_min else min(high, kappa_min - 1)
+        violations += [(kappa, lam) for kappa in range(low, top + 1)]
+    return CoefficientBoundCertificate(
+        n=n,
+        threshold=c,
+        kappa_min=kappa_min,
+        lambda_min=lambda_min,
+        search_limit=limit,
+        qualifying_pairs=qualifying,
+        violations=tuple(sorted(violations)),
+        minimal_pair_qualifies=minimal_ok,
+    )
+
+
+def test_certificate_rows_match_golden_oracle_at_default_thresholds():
+    for n in range(1, 17):
+        cert = coefficient_lower_bounds(n)
+        assert cert == golden_row_certificate(n, cert.threshold)
+
+
+def test_certificate_rows_match_golden_oracle_at_colouring_thresholds():
+    for delta in range(3, 10):
+        n, c = _colouring_threshold(delta)
+        assert colouring_coefficient_certificate(delta) == golden_row_certificate(n, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_thresholds())
+def test_certificate_rows_match_golden_oracle(case):
+    n, c = case
+    assert coefficient_lower_bounds(n, c) == golden_row_certificate(n, c)
+
+
 def test_colouring_certificates():
     for delta in (3, 4, 5):
         cert = colouring_coefficient_certificate(delta)

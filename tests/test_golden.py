@@ -19,6 +19,7 @@ from seqlab.golden import (
     tau_pow,
     verify_fib_properties,
 )
+from seqlab.verify import _interval_sign
 
 
 def interval_sign(p: Fraction, q: Fraction) -> int:
@@ -96,6 +97,29 @@ def test_sign_bulk_random_agreement():
 @given(a=fractions, b=fractions)
 def test_sign_agrees_with_interval_oracle(a, b):
     assert GoldenNumber(a, b).sign() == interval_sign(a + b / 2, b / 2)
+
+
+big_fractions = st.builds(
+    Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25)
+)
+
+
+@settings(max_examples=300)
+@given(a=big_fractions, b=big_fractions)
+def test_sign_of_large_fractions_agrees_with_verify_interval_sign(a, b):
+    assert GoldenNumber(a, b).sign() == _interval_sign(a + b / 2, b / 2)
+
+
+def test_sign_near_zero_with_unequal_denominators():
+    # F_{n+1}/F_n - tau, and the golden remainder over 7 nudged by 10^-30: each is
+    # within tau^-n of zero, and the denominators of a and b differ
+    for n in range(3, 80):
+        nudged = [GoldenNumber(Fraction(fib(n + 1), 7) + Fraction(s, 10**30), Fraction(-fib(n), 7))
+                  for s in (-1, 1)]
+        for x in (GoldenNumber(Fraction(fib(n + 1), fib(n)), -1), *nudged):
+            assert x.a.denominator != x.b.denominator
+            assert x.sign() == (-x).sign() * -1 == (-1) ** n
+            assert x.sign() == _interval_sign(x.a + x.b / 2, x.b / 2)
 
 
 @given(a=fractions, b=fractions)

@@ -10,6 +10,7 @@ import pytest
 from seqlab import verify
 from seqlab.analysis import fibonacci_bispecial
 from seqlab.golden import fib
+from seqlab.words import fibonacci_sequence
 
 SMALL = {
     "fib-properties": dict(levels=(1, 30)),
@@ -90,6 +91,29 @@ def test_guard_admits_a_horizon_at_the_limit():
     assert verify.parikh_membership_suite(max_horizon=300, **kwargs)[0][1]
     with pytest.raises(ValueError, match="above the guard"):
         verify.parikh_membership_suite(max_horizon=299, **kwargs)
+
+
+def test_recurrence_prefix_shows_every_factor():
+    # the Fibonacci word has n + 1 factors of length n, and R(n) letters show them all
+    text = "".join(fibonacci_sequence().letters(verify._recurrence(400)))
+    for n in range(1, 401):
+        shown = text[:verify._recurrence(n)]
+        assert len({shown[i:i + n] for i in range(len(shown) - n + 1)}) == n + 1, n
+
+
+def test_recurrence_values():
+    # R(n) = F_{k+2} + n - 1 for F_k <= n < F_{k+1}
+    assert [verify._recurrence(n) for n in range(1, 9)] == [3, 6, 10, 11, 17, 18, 19, 28]
+    assert verify._recurrence(20) == 53
+    assert verify._recurrence(120) == 352
+
+
+def test_parikh_membership_needs_a_prefix_that_shows_every_window():
+    # at --max 10 the windows reach 20 letters, which R(20) = 53 letters show
+    assert verify.parikh_membership_suite(max_coefficient=10, horizon=53)[0][1]
+    with pytest.raises(ValueError, match="horizon 52 is below 53, the prefix length that "
+                                         "shows every factor of length 20"):
+        verify.parikh_membership_suite(max_coefficient=10, horizon=52)
 
 
 def test_suites_do_not_depend_on_the_command_line():
