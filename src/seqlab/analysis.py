@@ -64,7 +64,7 @@ class Text:
     from a Text returns it unchanged; it is already cut, so a horizon is refused.
     """
 
-    __slots__ = ("letters", "alphabet", "codes", "string", "_rank", "_levels", "_top")
+    __slots__ = ("letters", "alphabet", "codes", "string", "_rank", "_levels")
 
     def __new__(cls, source: Source, horizon: int | None = None) -> Text:
         if isinstance(source, Text):
@@ -81,7 +81,6 @@ class Text:
         self.codes = wide.astype(np.min_scalar_type(max(len(ranks) - 1, 0)))
         self.codes.flags.writeable = False
         self._levels: list[np.ndarray] = []
-        self._top = len(ranks)  # the largest name of the last level built
         return self
 
     def __len__(self) -> int:
@@ -109,27 +108,26 @@ class Text:
             names[:n] = self.codes  # widen first: code 255 + 1 wraps to 0 in uint8
             names[:n] += 1
             levels.append(names)
-        while len(levels) <= k and self._top < n:
-            names, self._top = _double(levels[-1], 1 << (len(levels) - 1), self._top)
-            levels.append(names)
+        while len(levels) <= k:
+            top = int(levels[-1].max())
+            if top == n:
+                break
+            levels.append(_double(levels[-1], 1 << (len(levels) - 1), top))
         return levels[min(k, len(levels) - 1)]
 
     def _shed(self, budget: int) -> None:
         """Drop the highest levels until those left take at most `budget` bytes."""
-        levels, keep = self._levels, budget // (4 * (len(self) + 1))
-        if keep < len(levels):
-            del levels[keep:]
-            self._top = int(levels[-1].max()) if levels else len(self.alphabet)
+        del self._levels[budget // (4 * (len(self) + 1)):]
 
 
-def _double(names: np.ndarray, width: int, top: int) -> tuple[np.ndarray, int]:
+def _double(names: np.ndarray, width: int, top: int) -> np.ndarray:
     """One doubling round, shared by the query names and the suffix array: the
     names of 2 * width letters, as the dense rank of the pairs (names[i],
-    names[i + width]), and the largest of them. A pair is packed as names[i] *
-    (top + 1) + names[i + width], which keeps the order, and the packed pairs
-    are ranked by one sort. Equal pairs get equal ranks however the sort breaks
-    ties, so it need not be stable. No key outlives its round; the caller keeps
-    only the names.
+    names[i + width]), with `top` the largest of `names`. A pair is packed as
+    names[i] * (top + 1) + names[i + width], which keeps the order, and the
+    packed pairs are ranked by one sort. Equal pairs get equal ranks however the
+    sort breaks ties, so it need not be stable. No key outlives its round; the
+    caller keeps only the names.
     """
     n, span = names.size - 1, top + 1
     key = names[:n].astype(np.int32 if span * span <= np.iinfo(np.int32).max else np.int64)
@@ -143,7 +141,7 @@ def _double(names: np.ndarray, width: int, top: int) -> tuple[np.ndarray, int]:
     rank = np.cumsum(fresh, dtype=np.int32)
     doubled = np.zeros(n + 1, np.int32)
     doubled[order] = rank
-    return doubled, int(rank[-1])
+    return doubled
 
 
 class _Ranks(dict):
@@ -414,7 +412,8 @@ def bispecial_factors(source: Source, horizon: int | None = None, max_len: int =
     if len(text.alphabet) < 2:
         return []
     n = len(text)
-    order, lcp = _suffix_array(text, max_len + 1)
+    # no factor is longer than n, and the LCPs stay int32
+    order, lcp = _suffix_array(text, min(max_len, n) + 1)
     # left letters in suffix order and how often they change; the suffix at 0
     # has none and borrows the one before it, which is in its group unless it
     # starts the group, and then it is skipped

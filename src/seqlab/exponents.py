@@ -9,7 +9,6 @@ renderings and the comparisons with known thresholds included.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -51,11 +50,11 @@ class BoundResult:
     level: int  # the n0 with tau^(n0+1) <= H < tau^(n0+2)
     bound: GoldenNumber
 
-    def bound_decimal(self, places: int = 6) -> str:
-        """The bound rounded up to `places` decimal places, so the printed
-        number is never below the exact bound and stays a true upper bound.
+    def bound_decimal(self) -> str:
+        """The bound rounded up to 6 decimal places, so the printed number is
+        never below the exact bound and stays a true upper bound.
         """
-        return self.bound.decimal(places, upward=True)
+        return self.bound.decimal(6, upward=True)
 
     def to_json_dict(self) -> dict[str, object]:
         return {
@@ -204,7 +203,8 @@ def repetitive_threshold_bound(d: int) -> GoldenNumber:
     return value
 
 
-# the split target must occur this early in the base
+# the split target must occur this early in the base, and the fresh letters
+# must not
 SPLIT_PROBE = 4096
 SPLIT_LETTERS = ("A", "B")
 
@@ -215,44 +215,40 @@ def split_letter(base: SequenceGenerator, target: str) -> ColouringGenerator:
     letter c. Takes a d-letter balanced sequence to a (d+1)-letter balanced
     one without raising the asymptotic critical exponent.
     """
-    if target not in base.letters(SPLIT_PROBE):
+    seen = set(base.letters(SPLIT_PROBE))
+    if target not in seen:
         raise ValueError(f"letter {target!r} does not occur in the first {SPLIT_PROBE} letters")
+    for fresh in SPLIT_LETTERS:
+        if fresh in seen:
+            # the split would merge `target` into a letter already there
+            raise ValueError(f"letter {fresh!r} already occurs in the first {SPLIT_PROBE} letters")
     return ColouringGenerator(base, lambda c: SPLIT_LETTERS if c == target else (c,))
 
 
-def empirical_asymptotic_estimate(
-    delta: int,
-    horizon: int,
-    min_period: int,
-    max_period: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> ExponentEstimate:
+def empirical_asymptotic_estimate(delta: int, horizon: int, min_period: int) -> ExponentEstimate:
     """Scan the colouring for its strongest long-period repetition.
 
     A lower estimate of the asymptotic critical exponent: the maximum exact
-    exponent among repetitions with period >= min_period in prefix(horizon).
-    max_period defaults to min(horizon // 2, 20 * min_period), enough to see
-    several bispecial levels above min_period.
+    exponent among repetitions with period in [min_period, max_period] in
+    prefix(horizon), where max_period = min(horizon // 2, 20 * min_period) is
+    enough to see several bispecial levels above min_period.
     """
     if not 1 <= delta <= 5:
         raise ValueError(f"delta must be in 1..5 for the scan, got {delta}")
     if horizon > 10**6:
         raise ValueError(f"horizon capped at 10^6 for the scan, got {horizon}")
-    if max_period is None:
-        max_period = min(horizon // 2, 20 * min_period)
-    record = max_fractional_power(
-        colouring(delta), horizon, min_period, max_period, progress=progress
-    )
+    max_period = min(horizon // 2, 20 * min_period)
+    record = max_fractional_power(colouring(delta), horizon, min_period, max_period)
     return ExponentEstimate(estimate=record.exponent, witness=record)
 
 
-# best published values of the repetitive threshold RTB*(d) for even d:
-# exact elements of Q(tau) where known, otherwise (p, q, r, s) for (p+q*sqrt(r))/s
-_KNOWN_THRESHOLDS: dict[int, GoldenNumber | tuple[int, int, int, int]] = {
-    2: GoldenNumber(2, 1),
-    4: GoldenNumber(1, Fraction(1, 2)),
+# best published values of the repetitive threshold RTB*(d) for even d, as
+# (p, q, r, s) for (p+q*sqrt(r))/s; those in Q(tau) are written as a + b*tau
+_KNOWN_THRESHOLDS: dict[int, tuple[int, int, int, int]] = {
+    2: GoldenNumber(2, 1).surd(),
+    4: GoldenNumber(1, Fraction(1, 2)).surd(),
     6: (75, 3, 65, 80),
-    8: GoldenNumber(Fraction(5, 4), Fraction(-1, 8)),
+    8: GoldenNumber(Fraction(5, 4), Fraction(-1, 8)).surd(),
     10: (364, -21, 7, 304),
 }
 
@@ -310,8 +306,6 @@ def threshold_table(d_max: int = 10) -> list[ThresholdRow]:
     for d in range(2, d_max + 1, 2):
         result = colouring_exponent_bound(d // 2)
         known = _KNOWN_THRESHOLDS[d]
-        if isinstance(known, GoldenNumber):
-            known = known.surd()
         rows.append(
             ThresholdRow(
                 d=d,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -209,6 +210,13 @@ def return_words_suite(
         raise ValueError(f"the closed-form factor at level {levels[-1]} has {longest} letters, "
                          f"more than the horizon {horizon}")
     snap = Text(fibonacci_sequence(), horizon)
+    string, letters = snap.string, snap.letters
+    # a factor the prefix shows once has no return word; when one of some length
+    # does, so does one of every longer length, so max_len decides it for all
+    top = min(max_len, horizon)
+    if 1 in Counter(string[i:i + top] for i in range(horizon - top + 1)).values():
+        raise ValueError(f"max_len {max_len} is too long for the horizon {horizon}: a factor "
+                         f"of length {top} occurs once in it and has no return word")
     checks = []
     for n in levels:
         fb = fibonacci_bispecial(n)
@@ -227,7 +235,6 @@ def return_words_suite(
             if ok else f"scan gave {[w.to_text()[:30] for w in rws.returns]}",
         ))
 
-    string, letters = snap.string, snap.letters
     factors: list[Word] = []
     for length in range(1, max_len + 1):
         first = {string[i:i + length]: i for i in range(len(string) - length, -1, -1)}

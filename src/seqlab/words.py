@@ -198,33 +198,31 @@ class PeriodicGenerator(SequenceGenerator):
         self.period = period
         self._period_letters = period.letters()
 
-    @property
-    def period_length(self) -> int:
-        return len(self._period_letters)
-
     def _extend(self, n: int) -> None:
         rounds = -(-(n - len(self._buf)) // len(self._period_letters))
         self._buf.extend(self._period_letters * rounds)
 
 
-def constant_gap(delta: int, hatted: bool = False) -> PeriodicGenerator:
-    """Build y_delta (period 2^(delta-1)): start from 1^w, then for each new
-    letter k stretch the current sequence onto the even positions and put k
-    on every odd position. Every letter ends up in an arithmetic progression.
+def _gap_period(delta: int, hatted: bool) -> tuple[str, ...]:
+    """The period of y_delta, 2^(delta-1) letters: letter 0 is 1 and letter
+    i >= 1 is delta - nu_2(i), nu_2(i) the number of trailing zero bits of i.
+    So 1 sits on the multiples of 2^(delta-1) and each k >= 2 on the residue
+    class 2^(delta-k) modulo 2^(delta-k+1): every letter has a constant gap.
     """
     if not 1 <= delta <= 9:
         raise ValueError(f"delta must be in 1..9, got {delta}")
-    period = ["1"]
-    for k in range(2, delta + 1):
-        letter = str(k)
-        stretched: list[str] = []
-        for tok in period:
-            stretched.append(tok)
-            stretched.append(letter)
-        period = stretched
-    if hatted:
-        period = [tok + "'" for tok in period]
-    return PeriodicGenerator(Word(period))
+    # one str object per letter, so dict lookups on the coloured letters
+    # (Text's ranking) match by identity
+    letter = {k: coloured_letter(k, hatted) for k in range(1, delta + 1)}
+    # (i & -i).bit_length() is nu_2(i) + 1
+    return tuple(letter[delta + 1 - (i & -i).bit_length() if i else 1]
+                 for i in range(2 ** (delta - 1)))
+
+
+def constant_gap(delta: int, hatted: bool = False) -> PeriodicGenerator:
+    """y_delta, the constant gap sequence of period 2^(delta-1) over the
+    letters 1..delta (hatted: 1'..delta')."""
+    return PeriodicGenerator(Word(_gap_period(delta, hatted)))
 
 
 class _Streams(dict):
@@ -279,10 +277,7 @@ def colouring(delta: int) -> ColouringGenerator:
     The result is over 2*delta letters and stays balanced; forgetting the
     colours (discolour) recovers the Fibonacci word exactly.
     """
-    periods = {
-        "a": constant_gap(delta).period.letters(),
-        "b": constant_gap(delta, hatted=True).period.letters(),
-    }
+    periods = {"a": _gap_period(delta, False), "b": _gap_period(delta, True)}
     return ColouringGenerator(fibonacci_sequence(), periods.__getitem__)
 
 

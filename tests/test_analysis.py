@@ -278,6 +278,14 @@ def test_bispecial_factors_match_frontier_on_colourings(delta):
     assert bispecial_factors(letters, None, 100) == frontier_bispecials(letters, 100)
 
 
+@pytest.mark.parametrize("source", [colouring(2).letters(300), list("abaab")])
+def test_bispecial_max_len_past_int32(source):
+    # no factor is longer than the snapshot, so a larger max_len finds the same ones
+    want = bispecial_factors(source, None, len(source))
+    assert bispecial_factors(source, None, 2**31 - 1) == want
+    assert bispecial_factors(source, None, 2**40) == want
+
+
 def test_bispecial_scan_matches_closed_form(fib_snapshot):
     scanned = bispecial_factors(fib_snapshot, max_len=30)
     assert [len(w) for w in scanned] == [0, 1, 3, 6, 11, 19]

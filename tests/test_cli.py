@@ -193,6 +193,18 @@ def test_analyze_bispecial(capsys):
     assert 'len 11: "abaababaaba"' in out
 
 
+def test_analyze_bispecial_max_len_past_int32(capsys):
+    def factors(max_len):
+        code, out = run(capsys, "analyze", "bispecial", "--horizon", "100",
+                        "--max-len", str(max_len), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["max_len"] == max_len
+        return doc["factors"]
+
+    assert factors(2**40) == factors(2**31 - 1) == factors(100)
+
+
 def test_analyze_derived(capsys):
     code, out = run(capsys, "analyze", "derived", "--word", "a",
                     "--sequence", "fibonacci", "--horizon", "500")

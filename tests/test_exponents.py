@@ -306,6 +306,13 @@ def test_split_letter_unknown_target():
         split_letter(colouring(2), "9")
 
 
+def test_split_letter_refuses_fresh_letters_already_present():
+    # a second split would reuse A and B and merge the two split letters
+    once = split_letter(colouring(2), "2")
+    with pytest.raises(ValueError, match="letter 'A' already occurs in the first 4096 letters"):
+        split_letter(once, "1")
+
+
 def test_empirical_estimate_quick():
     estimate = empirical_asymptotic_estimate(1, 10**4, 30)
     bound = colouring_exponent_bound(1).bound

@@ -3,6 +3,7 @@
 import ast
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,37 @@ def test_parikh_membership_needs_a_prefix_that_shows_every_window():
     with pytest.raises(ValueError, match="horizon 52 is below 53, the prefix length that "
                                          "shows every factor of length 20"):
         verify.parikh_membership_suite(max_coefficient=10, horizon=52)
+
+
+def test_divisibility_max_len_past_the_horizon():
+    # no factor is longer than the horizon, and the suffix array's LCPs stay int32
+    kwargs = dict(deltas=(2,), horizon=2000)
+    want = verify.divisibility_suite(max_len=2000, **kwargs)
+    assert verify.divisibility_suite(max_len=2**31 - 1, **kwargs) == want
+    assert verify.divisibility_suite(max_len=2**40, **kwargs) == want
+
+
+@pytest.mark.parametrize("horizon", [60, 200])
+def test_return_words_refuses_a_max_len_with_a_factor_seen_once(horizon):
+    # such a factor has no return word: the first length that shows one, by brute force
+    text = "".join(fibonacci_sequence().letters(horizon))
+    once = next(n for n in range(1, horizon + 1)
+                if 1 in Counter(text[i:i + n] for i in range(horizon - n + 1)).values())
+    kwargs = dict(levels=(1, 2), horizon=horizon)
+    # one length shorter, every factor occurs twice and is checked, pass or fail
+    checks = verify.return_words_suite(max_len=once - 1, **kwargs)
+    assert checks[-1][0] == f"every factor of length <= {once - 1} has exactly two return words"
+    for max_len in (once, once + 1, horizon, 2**40):
+        with pytest.raises(ValueError, match=f"max_len {max_len} is too long for the horizon "
+                                             f"{horizon}: a factor of length"):
+            verify.return_words_suite(max_len=max_len, **kwargs)
+
+
+def test_return_words_refuses_a_huge_max_len_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="a factor of length 2000 occurs once"):
+        verify.return_words_suite(levels=(1, 3), horizon=2000, max_len=10**8)
+    assert time.perf_counter() - start < 1
 
 
 def test_suites_do_not_depend_on_the_command_line():

@@ -126,7 +126,35 @@ def test_constant_gap_periods():
     assert constant_gap(3).prefix(8).to_text() == "13231323"
     assert constant_gap(4).prefix(8).to_text() == "14342434"
     for delta in range(1, 7):
-        assert constant_gap(delta).period_length == 2 ** (delta - 1)
+        assert len(constant_gap(delta).period) == 2 ** (delta - 1)
+
+
+def stretched_gap_period(delta, hatted):
+    """y_delta by its construction: start from 1, then for each new letter k
+    stretch the period onto the even positions and put k on every odd one."""
+    period = ["1"]
+    for k in range(2, delta + 1):
+        period = [tok for old in period for tok in (old, str(k))]
+    return [tok + "'" for tok in period] if hatted else period
+
+
+@pytest.mark.parametrize("hatted", [False, True])
+@pytest.mark.parametrize("delta", range(1, 10))
+def test_constant_gap_matches_stretch_oracle(delta, hatted):
+    assert constant_gap(delta, hatted).period.letters() == tuple(stretched_gap_period(delta, hatted))
+
+
+@pytest.mark.parametrize("delta", range(1, 10))
+def test_constant_gap_letters_sit_on_residue_classes(delta):
+    # 1 exactly on the multiples of 2^(delta-1), and each k >= 2 exactly on
+    # the class 2^(delta-k) modulo 2^(delta-k+1)
+    period = 2 ** (delta - 1)
+    for i, tok in enumerate(constant_gap(delta).letters(3 * period)):
+        k = letter_index(tok)
+        if k == 1:
+            assert i % period == 0
+        else:
+            assert i % 2 ** (delta - k + 1) == 2 ** (delta - k)
 
 
 def test_constant_gap_hatted_copy():
