@@ -190,17 +190,13 @@ def shortest_return_lower_bound(index: int, delta: int) -> int:
 
 def repetitive_threshold_bound(d: int) -> GoldenNumber:
     """Coarse bound 1 + tau^3 / 2^(d-2) for balanced sequences over d letters
-    (d even). Checked exactly against the sharper colouring bound.
+    (d even, at most 18, where the colouring bound it is compared with is defined).
     """
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be an even integer >= 2, got {d}")
     if d > 18:
         raise ValueError(f"d must be <= 18, got {d}")
-    value = ONE + tau_pow(3) * Fraction(1, 2 ** (d - 2))
-    sharper = colouring_exponent_bound(d // 2).bound
-    if not (value - sharper).sign() > 0:
-        raise ArithmeticError(f"coarse bound failed to dominate at d={d}")
-    return value
+    return ONE + tau_pow(3) * Fraction(1, 2 ** (d - 2))
 
 
 # the split target must occur this early in the base, and the fresh letters

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -144,6 +143,13 @@ def _recurrence(n: int) -> int:
     return fib(k + 2) + n - 1
 
 
+def _factors(prefix: str, length: int) -> list[Word]:
+    """The factors of one length, sorted, read off the R(length) letters of `prefix`."""
+    shown = prefix[:_recurrence(length)]
+    windows = {shown[i:i + length] for i in range(len(shown) - length + 1)}
+    return [Word(f) for f in sorted(windows)]
+
+
 def parikh_membership_suite(
     *, max_coefficient: int = 60, horizon: int = 10**4, max_horizon: int | None = None
 ) -> list[Check]:
@@ -200,7 +206,9 @@ def return_words_suite(
     max_len: int = 50,
     max_horizon: int | None = None,
 ) -> list[Check]:
-    """Closed-form returns at each level; two returns for every factor up to max_len."""
+    """Closed-form returns at each level; two returns for every factor up to max_len.
+    The prefix must show both returns of every factor it checks.
+    """
     levels = _levels(levels)
     _at_least_one(horizon=horizon, max_len=max_len)
     # the closed-form factor at level n has F(n+3) - 2 letters
@@ -209,22 +217,19 @@ def return_words_suite(
     if longest > horizon:
         raise ValueError(f"the closed-form factor at level {levels[-1]} has {longest} letters, "
                          f"more than the horizon {horizon}")
+    # w_n occurs at 0, F(n+2) and F(n+3), so 2 F(n+3) - 2 letters show both its returns; a
+    # factor of length L recurs within R(L) - L + 1 letters, so each complete return has at
+    # most R(L) + 1 letters and R(R(max_len) + 1) letters show both returns of every factor
+    need = max(2 * longest + 2, _recurrence(_recurrence(max_len) + 1))
+    if horizon < need:
+        raise ValueError(f"horizon {horizon} is below {need}, the prefix length that shows both "
+                         f"returns of the closed-form factor at level {levels[-1]} and of every "
+                         f"factor of length <= {max_len}")
     snap = Text(fibonacci_sequence(), horizon)
-    string, letters = snap.string, snap.letters
-    # a factor the prefix shows once has no return word; when one of some length
-    # does, so does one of every longer length, so max_len decides it for all
-    top = min(max_len, horizon)
-    if 1 in Counter(string[i:i + top] for i in range(horizon - top + 1)).values():
-        raise ValueError(f"max_len {max_len} is too long for the horizon {horizon}: a factor "
-                         f"of length {top} occurs once in it and has no return word")
     checks = []
     for n in levels:
         fb = fibonacci_bispecial(n)
-        try:
-            rws = return_words(fb.word, snap)
-        except ValueError as exc:
-            checks.append((f"closed form at level {n}", False, str(exc)))
-            continue
+        rws = return_words(fb.word, snap)
         expected = (fb.prefix_return, fb.other_return)
         ok = rws.returns == expected
         checks.append((
@@ -235,10 +240,8 @@ def return_words_suite(
             if ok else f"scan gave {[w.to_text()[:30] for w in rws.returns]}",
         ))
 
-    factors: list[Word] = []
-    for length in range(1, max_len + 1):
-        first = {string[i:i + length]: i for i in range(len(string) - length, -1, -1)}
-        factors += sorted((Word(letters[i:i + length]) for i in first.values()), key=Word.to_text)
+    prefix = "".join(snap.letters[:_recurrence(max_len)])
+    factors = [fac for length in range(1, max_len + 1) for fac in _factors(prefix, length)]
     bad = [fac.to_text() for fac in factors if len(return_words(fac, snap).returns) != 2]
     checks.append((
         f"every factor of length <= {max_len} has exactly two return words",
@@ -278,7 +281,7 @@ def divisibility_suite(
             + ("" if not bad_len else f", stray lengths {sorted(set(bad_len))[:5]}"),
         ))
         returns = [(w, return_words(w, snap).returns) for w in coloured]
-        counts = [(sum(1 for t in v if discolour_letter(t) == "a"), v)
+        counts = [(sum(c for t, c in v.parikh().items() if discolour_letter(t) == "a"), v)
                   for _, vs in returns for v in vs]
         bad = [f"counts ({a},{len(v) - a}) at \"{v.to_text()[:30]}\""
                for a, v in counts if a % period or (len(v) - a) % period]

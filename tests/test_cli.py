@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from seqlab import cli
 from seqlab.cli import main
+from seqlab.golden import GoldenNumber
 
 
 def run(capsys, *argv):
@@ -239,6 +241,14 @@ def test_bound_coarse_check(capsys):
     assert "within coarse bound: true" in out
     # 1 + tau^3/256 = 1.0165472..., printed rounded up like every bound
     assert "coarse bound: 257/256 + 1/128*tau = 1.016548\n" in out
+
+
+def test_bound_coarse_check_reports_a_bound_it_does_not_dominate(capsys, monkeypatch):
+    # the command decides domination itself: a coarse bound below the colouring bound exits 1
+    monkeypatch.setattr(cli, "repetitive_threshold_bound", lambda d: GoldenNumber(1))
+    code, out = run(capsys, "bound", "--delta", "5", "--check-coarse-bound")
+    assert code == 1
+    assert "within coarse bound: false" in out
 
 
 def test_bound_json(capsys):
@@ -548,6 +558,21 @@ def test_verify_return_words_refuses_a_factor_longer_than_the_horizon(capsys):
     assert captured.out == ""
     assert "level 28 has 1346267 letters, more than the horizon 1000" in captured.err
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv, need", [
+    # both returns of every factor of length <= 40 show by R(R(40) + 1) = 361
+    (["--n", "1..2", "--horizon", "200", "--max-len", "40"], 361),
+    # both returns of the level-10 factor show by 2 F(13) - 2 = 464
+    (["--n", "1..10", "--horizon", "300", "--max-len", "5"], 464),
+])
+def test_verify_return_words_refuses_a_horizon_too_short_for_both_returns(capsys, argv, need):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "return-words", *argv])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert f"is below {need}, the prefix length that shows both returns" in captured.err
 
 
 def test_verify_fib_properties_refuses_a_lower_level(capsys):

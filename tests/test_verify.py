@@ -3,15 +3,14 @@
 import ast
 import re
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from seqlab import verify
-from seqlab.analysis import fibonacci_bispecial
+from seqlab.analysis import Text, fibonacci_bispecial
 from seqlab.golden import fib
-from seqlab.words import fibonacci_sequence
+from seqlab.words import Word, fibonacci_sequence
 
 SMALL = {
     "fib-properties": dict(levels=(1, 30)),
@@ -125,26 +124,84 @@ def test_divisibility_max_len_past_the_horizon():
     assert verify.divisibility_suite(max_len=2**40, **kwargs) == want
 
 
-@pytest.mark.parametrize("horizon", [60, 200])
-def test_return_words_refuses_a_max_len_with_a_factor_seen_once(horizon):
-    # such a factor has no return word: the first length that shows one, by brute force
-    text = "".join(fibonacci_sequence().letters(horizon))
-    once = next(n for n in range(1, horizon + 1)
-                if 1 in Counter(text[i:i + n] for i in range(horizon - n + 1)).values())
+def _complete_returns(text: str, factor: str) -> set[str]:
+    """Brute force: each pair of consecutive occurrences of `factor` in `text`,
+    from the first letter of one to the last letter of the next.
+    """
+    starts = [m.start() for m in re.finditer(f"(?={factor})", text)]
+    return {text[i:j + len(factor)] for i, j in zip(starts, starts[1:])}
+
+
+def test_recurrence_bounds_the_returns_of_every_factor():
+    # a factor of length L recurs within R(L) - L + 1 letters, so its complete returns
+    # have at most R(L) + 1 letters, and R(R(L) + 1) letters show both of them
+    R = verify._recurrence
+    text = "".join(fibonacci_sequence().letters(4 * R(R(60) + 1)))
+    for length in range(1, 61):
+        shown = text[:R(R(length) + 1)]
+        for factor in {text[i:i + length] for i in range(R(length) - length + 1)}:
+            assert len(_complete_returns(shown, factor)) == 2, factor
+            assert max(map(len, _complete_returns(text, factor))) <= R(length) + 1, factor
+    # R(2m + 2) letters are not enough: both returns of aabaa show only at 33
+    assert R(2 * 5 + 2) == 32
+    assert len(_complete_returns(text[:32], "aabaa")) == 1
+    assert len(_complete_returns(text[:33], "aabaa")) == 2
+
+
+def test_closed_form_returns_show_in_twice_the_next_fibonacci_number():
+    # w_n occurs at 0, F(n+2) and F(n+3): 2 F(n+3) - 2 letters show both returns, one fewer not
+    text = "".join(fibonacci_sequence().letters(2 * fib(16)))
+    for n in range(1, 14):
+        fb = fibonacci_bispecial(n)
+        need = 2 * fib(n + 3) - 2
+        want = {(r + fb.word).to_text() for r in (fb.prefix_return, fb.other_return)}
+        assert _complete_returns(text[:need], fb.word.to_text()) == want, n
+        assert len(_complete_returns(text[:need - 1], fb.word.to_text())) == 1, n
+
+
+def _factors_over_the_whole_prefix(snap, length):
+    """The enumeration over every window of the prefix, first occurrences in a dict."""
+    string, letters = snap.string, snap.letters
+    first = {string[i:i + length]: i for i in range(len(string) - length, -1, -1)}
+    return sorted((Word(letters[i:i + length]) for i in first.values()), key=Word.to_text)
+
+
+def test_factors_from_the_recurrence_prefix_match_the_whole_prefix():
+    snap = Text(fibonacci_sequence(), 2000)
+    prefix = "".join(snap.letters)
+    for length in range(1, 61):
+        assert verify._factors(prefix, length) == _factors_over_the_whole_prefix(snap, length)
+
+
+def test_return_words_needs_twice_the_next_fibonacci_number_at_the_top_level():
+    # level 10 needs 2 F(13) - 2 = 464 letters; max_len 1 needs R(R(1) + 1) = 11
+    kwargs = dict(levels=(1, 10), max_len=1)
+    assert all(passed for _, passed, _ in verify.return_words_suite(horizon=464, **kwargs))
+    with pytest.raises(ValueError, match="horizon 463 is below 464, the prefix length that "
+                                         "shows both returns of the closed-form factor at "
+                                         "level 10 and of every factor of length <= 1"):
+        verify.return_words_suite(horizon=463, **kwargs)
+
+
+@pytest.mark.parametrize("horizon, largest", [(60, 7), (200, 20)])
+def test_return_words_refuses_a_max_len_the_horizon_cannot_certify(horizon, largest):
+    # the largest max_len with R(R(max_len) + 1) <= horizon is accepted and passes
+    R = verify._recurrence
+    assert R(R(largest) + 1) <= horizon < R(R(largest + 1) + 1)
     kwargs = dict(levels=(1, 2), horizon=horizon)
-    # one length shorter, every factor occurs twice and is checked, pass or fail
-    checks = verify.return_words_suite(max_len=once - 1, **kwargs)
-    assert checks[-1][0] == f"every factor of length <= {once - 1} has exactly two return words"
-    for max_len in (once, once + 1, horizon, 2**40):
-        with pytest.raises(ValueError, match=f"max_len {max_len} is too long for the horizon "
-                                             f"{horizon}: a factor of length"):
+    checks = verify.return_words_suite(max_len=largest, **kwargs)
+    assert checks[-1][0] == f"every factor of length <= {largest} has exactly two return words"
+    assert all(passed for _, passed, _ in checks)
+    for max_len in (largest + 1, horizon, 2**40):
+        with pytest.raises(ValueError, match=f"horizon {horizon} is below "
+                                             f"{R(R(max_len) + 1)}, the prefix length"):
             verify.return_words_suite(max_len=max_len, **kwargs)
 
 
 def test_return_words_refuses_a_huge_max_len_before_any_work():
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="a factor of length 2000 occurs once"):
-        verify.return_words_suite(levels=(1, 3), horizon=2000, max_len=10**8)
+    with pytest.raises(ValueError, match="of every factor of length <= 1099511627776"):
+        verify.return_words_suite(levels=(1, 3), horizon=2000, max_len=2**40)
     assert time.perf_counter() - start < 1
 
 
