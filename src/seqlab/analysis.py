@@ -9,12 +9,12 @@ horizons should be generous relative to the factor lengths involved
 twice the largest gap seen).
 
 The per-factor queries (`occurrences`, `return_words`, `derived_sequence`)
-reuse the Text of the last list, tuple, Word or str snapshot they encoded
-while the same letters come back, and hold only that one, with at most
-16 MiB of its doubling names (below) between queries. The scans
-(`max_fractional_power`, `is_balanced`, `bispecial_factors`) build a fresh
-Text per call and neither read nor replace it, so a long scanned snapshot is
-freed on return. Pass a prebuilt Text to share one encoding everywhere.
+reuse the Text of the last snapshot they encoded while the same letters come
+back, and hold only that one, with every doubling level (below) it has built,
+as a prebuilt Text keeps them. The scans (`max_fractional_power`,
+`is_balanced`, `bispecial_factors`) build a fresh Text per call and neither
+read nor replace it, so a long scanned snapshot is freed on return. Pass a
+prebuilt Text to share one encoding everywhere.
 
 A Text codes each letter by its rank of first appearance, in one pass, both
 as a str for C-speed substring search and as a read-only numpy array; its
@@ -98,9 +98,9 @@ class Text:
         equal, ranked from 1 in their lexicographic order, and 0 at the
         past-the-end index n, so a window running off the end equals no other.
 
-        Levels are built on first use and kept until `_shed`. Once every
-        position has its own name the next levels would repeat it, so that
-        level answers for them.
+        Levels are built on first use and kept. Once every position has its
+        own name the next levels would repeat it, so that level answers for
+        them.
         """
         levels, n = self._levels, len(self)
         if not levels:
@@ -114,10 +114,6 @@ class Text:
                 break
             levels.append(_double(levels[-1], 1 << (len(levels) - 1), top))
         return levels[min(k, len(levels) - 1)]
-
-    def _shed(self, budget: int) -> None:
-        """Drop the highest levels until those left take at most `budget` bytes."""
-        del self._levels[budget // (4 * (len(self) + 1)):]
 
 
 def _double(names: np.ndarray, width: int, top: int) -> np.ndarray:
@@ -167,11 +163,8 @@ def _cut(source: Source, horizon: int | None) -> tuple[str, ...]:
     return tuple(source if horizon is None else islice(source, horizon))
 
 
-# the Text of the last list, tuple, Word or str snapshot a per-factor query encoded
+# the Text of the last snapshot a per-factor query encoded
 _query_text: Text | None = None
-# the bytes of doubling levels it keeps between queries, at 4 * (n + 1) bytes a
-# level: 16 levels of 2.6 * 10^5 letters, 4 of 10^6 and none past 4.2 * 10^6
-_QUERY_LEVEL_BYTES = 1 << 24
 
 
 def _query_snapshot(source: Source, horizon: int | None) -> Text:
@@ -180,20 +173,12 @@ def _query_snapshot(source: Source, horizon: int | None) -> Text:
     Callers ask about many factors of one snapshot; comparing its letters with
     the last ones encoded is a C-level tuple comparison, several times cheaper
     than ranking them again. The old Text is dropped before a new one is built,
-    so at most one is held. The scans build their own Text and leave this one
-    alone, so a long scanned snapshot is freed when its scan returns.
-
-    A query builds the doubling levels it reads, 4 * (n + 1) bytes each, and
-    `_done` then keeps the lowest of them within _QUERY_LEVEL_BYTES, so
-    between queries the held Text has at most 16 MiB of levels on top of its
-    letters. While a query runs it holds every level up to the highest it
-    reads, floor(log2 M) + 1 of them for a gap of M letters past the factor:
-    13 levels, 50 MB, for the returns of up to 4880 letters of a coloured
-    bispecial in 10^6 letters. A prebuilt Text passed by the caller keeps
-    every level.
+    so at most one is held, with every doubling level its queries have built.
+    The scans build their own Text and leave this one alone, so a long scanned
+    snapshot is freed when its scan returns.
     """
     global _query_text
-    if isinstance(source, (Text, SequenceGenerator)):
+    if isinstance(source, Text):
         return Text(source, horizon)
     letters = _cut(source, horizon)
     text = _query_text
@@ -201,12 +186,6 @@ def _query_snapshot(source: Source, horizon: int | None) -> Text:
         _query_text = text = None  # free the old snapshot before building the new one
         _query_text = text = Text(letters)
     return text
-
-
-def _done(text: Text) -> None:
-    """Cut the query memo's levels back to _QUERY_LEVEL_BYTES once a query has read them."""
-    if text is _query_text:
-        text._shed(_QUERY_LEVEL_BYTES)
 
 
 @dataclass(frozen=True)
@@ -349,7 +328,6 @@ def occurrences(factor: Word, source: Source, horizon: int | None = None) -> Occ
     """All start positions of `factor` inside the snapshot."""
     text = _query_snapshot(source, horizon)
     positions = _positions(factor, text)
-    _done(text)
     return OccurrenceList(factor, tuple(positions.tolist()), len(text))
 
 
@@ -357,7 +335,6 @@ def return_words(factor: Word, source: Source, horizon: int | None = None) -> Re
     """Distinct words separating consecutive occurrences of `factor`."""
     text = _query_snapshot(source, horizon)
     positions, firsts, _ = _return_walk(factor, text)
-    _done(text)
     count = positions.size
     if count < 2:
         name = (repr(factor.to_text()) if len(factor) <= 30
@@ -519,7 +496,6 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
     if tuple(factor) != text.letters[: len(factor)]:
         raise ValueError(f"factor {factor.to_text()!r} is not a prefix of the sequence")
     positions, _, walk = _return_walk(factor, text)
-    _done(text)
     if positions.size < 2:
         raise ValueError("need at least 2 occurrences to derive")
     return Word(map(str, (walk + 1).tolist()))

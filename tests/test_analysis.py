@@ -257,6 +257,7 @@ def bispecial_cases(draw):
     return letters, max_len
 
 
+@pytest.mark.oracle
 @given(case=bispecial_cases())
 @example(case=([], 3))
 @example(case=(["a"], 1))
@@ -397,6 +398,7 @@ def balance_cases(draw):
     return letters, max_window
 
 
+@pytest.mark.oracle
 @given(case=balance_cases())
 @example(case=(fibonacci_sequence().letters(600), 256))
 # a b^L a b^(L+2) first spreads by 2 at window L + 2: here 255, then 256
@@ -465,6 +467,7 @@ def parikh_pairs(draw):
     return max(centre + draw(st.integers(-3, 3)), 0), ell
 
 
+@pytest.mark.oracle
 @settings(max_examples=300, deadline=None)
 @given(parikh_pairs())
 @example((fib(30), fib(29)))
@@ -536,6 +539,7 @@ def masks(draw):
                      for _ in range(size)])
 
 
+@pytest.mark.oracle
 @given(eq=masks())
 @example(eq=np.ones(1, bool))
 @example(eq=np.zeros(1, bool))
@@ -675,6 +679,7 @@ def query_outcomes(factor, source, horizon=None):
     return [outcome(lambda q=q: q(factor, source, horizon)) for q in QUERIES]
 
 
+@pytest.mark.oracle
 @given(
     letters=st.lists(st.sampled_from("abc"), max_size=60),
     # a length takes the factor from the letters' prefix, so derived_sequence has one
@@ -740,23 +745,34 @@ def test_scans_neither_read_nor_replace_the_query_snapshot(monkeypatch):
     assert analysis._query_text is held and len(built) == 1 + 3 * len(scans)
 
 
-@pytest.mark.parametrize("kept", [0, 3])
-def test_query_memo_sheds_levels_past_its_budget(monkeypatch, kept):
-    letters = WIDE * 20
-    budget = kept * 4 * (len(letters) + 1)
+def test_query_memo_keeps_every_level_it_builds(monkeypatch):
+    rounds = []
+    double = analysis._double
+    monkeypatch.setattr(analysis, "_double", lambda *args: rounds.append(1) or double(*args))
     monkeypatch.setattr(analysis, "_query_text", None)
-    monkeypatch.setattr(analysis, "_QUERY_LEVEL_BYTES", budget)
+    letters = WIDE * 20
     factor = Word(WIDE[:3])  # gaps of 300 letters read the level-8 names
     full = Text(letters)
     want = [return_words(factor, full), derived_sequence(factor, full), occurrences(factor, full)]
     assert len(full._levels) == 9  # a prebuilt Text keeps every level
-    for _ in range(2):
-        assert [return_words(factor, letters), derived_sequence(factor, letters),
-                occurrences(factor, letters)] == want
-        held = analysis._query_text
-        assert len(held._levels) == kept and sum(a.nbytes for a in held._levels) <= budget
-    # levels built again from the kept ones are those a fresh Text builds
-    assert all(np.array_equal(held._names(k), full._names(k)) for k in range(9))
+    # the first list builds the 8 rounds above level 0, an equal list none
+    for source, built in ((letters, 8), (list(letters), 0)):
+        rounds.clear()
+        assert [return_words(factor, source), derived_sequence(factor, source),
+                occurrences(factor, source)] == want
+        assert len(rounds) == built
+    held = analysis._query_text
+    assert held.letters == tuple(letters) and len(held._levels) == 9
+    assert all(np.array_equal(mine, fresh) for mine, fresh in zip(held._levels, full._levels))
+    # a generator is cut to its horizon and reuses the held Text for the same letters
+    fib_factor = Word.from_text("abaab")
+    first = return_words(fib_factor, fibonacci_sequence(), 3000)
+    held = analysis._query_text
+    assert held.letters == tuple(fibonacci_sequence().letters(3000))
+    rounds.clear()
+    assert return_words(fib_factor, fibonacci_sequence(), 3000) == first
+    assert occurrences(fib_factor, fibonacci_sequence(), 3000) == occurrences(fib_factor, held)
+    assert analysis._query_text is held and not rounds
 
 
 def text_oracle(letters):
@@ -769,6 +785,7 @@ def text_oracle(letters):
     return alphabet, codes, string
 
 
+@pytest.mark.oracle
 @given(letters=st.integers(1, 400).flatmap(
     lambda k: st.lists(st.integers(0, k - 1).map(str), max_size=1500)))
 @example(letters=[])
@@ -895,6 +912,7 @@ def walk_cases(draw):
     return letters, Word(factor), horizon
 
 
+@pytest.mark.oracle
 @given(case=walk_cases())
 # overlapping occurrences in a run
 @example(case=(["a"] * 40, Word(["a"] * 7), None))

@@ -1,9 +1,11 @@
+import io
 import json
+import sys
 import time
 
 import pytest
 
-from seqlab import cli
+from seqlab import analysis, cli, verify
 from seqlab.cli import main
 from seqlab.golden import GoldenNumber
 
@@ -175,6 +177,23 @@ def test_analyze_power_json(capsys):
     assert doc["exponent"] == {"numerator": 7, "denominator": 5}
     assert doc["root"]["text"] == "kabel"
     assert doc["period"] == 5
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_analyze_power_reports_progress_on_a_terminal(capsys, monkeypatch):
+    argv = ("analyze", "power", "--delta", "1", "--horizon", "2000",
+            "--min-period", "20", "--max-period", "80")
+    plain = run(capsys, *argv)
+    terminal = _Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    assert run(capsys, *argv) == plain
+    # 61 periods, reported every 61 // 20 = 3 of them and once more at the end
+    want = "".join(f"\rscanning period {done}/61" for done in range(0, 61, 3))
+    assert terminal.getvalue() == want + "\rscanning period 61/61\n"
 
 
 def test_analyze_occurrences_json(capsys):
@@ -615,6 +634,23 @@ def test_verify_divisibility_takes_repeated_deltas(capsys):
     assert code == 0
     assert "ok: delta=2: " in out and "ok: delta=3: " in out
     assert "delta=4" not in out
+
+
+def test_verify_divisibility_reports_a_stray_length_as_a_failure(capsys, monkeypatch):
+    # without the longest closed-form length (53 at --max-len 60), its factors are stray
+    def short_family(max_len):
+        family = analysis.fibonacci_bispecial_lengths(max_len)
+        del family[max(family)]
+        return family
+
+    monkeypatch.setattr(verify, "fibonacci_bispecial_lengths", short_family)
+    checks = verify.divisibility_suite(deltas=(2,), horizon=20000, max_len=60)
+    assert checks[0][:2] == ("delta=2: bispecial lengths in the closed-form family", False)
+    assert checks[0][2].endswith("stray lengths [53]")
+    code, out = run(capsys, "verify", "--suite", "divisibility", "--delta", "2",
+                    "--horizon", "20000", "--max-len", "60")
+    assert code == 1
+    assert "FAIL: delta=2: bispecial lengths in the closed-form family" in out
 
 
 def test_verify_divisibility_refuses_a_repeated_delta(capsys):

@@ -36,6 +36,7 @@ documents = st.recursive(
 )
 
 
+@pytest.mark.oracle
 @settings(max_examples=300)
 @given(documents)
 @example(Word())

@@ -203,6 +203,7 @@ def _colouring_threshold(delta: int) -> tuple[int, GoldenNumber]:
     return result.level, tau_pow(2) * Fraction(1, result.period_length)
 
 
+@pytest.mark.oracle
 @settings(max_examples=200, deadline=None)
 @given(certificate_thresholds())
 @example(_colouring_threshold(3))
@@ -255,6 +256,7 @@ def test_certificate_rows_match_golden_oracle_at_colouring_thresholds():
         assert colouring_coefficient_certificate(delta) == golden_row_certificate(n, c)
 
 
+@pytest.mark.oracle
 @settings(max_examples=200, deadline=None)
 @given(certificate_thresholds())
 def test_certificate_rows_match_golden_oracle(case):

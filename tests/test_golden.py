@@ -104,6 +104,7 @@ big_fractions = st.builds(
 )
 
 
+@pytest.mark.oracle
 @settings(max_examples=300)
 @given(a=big_fractions, b=big_fractions)
 def test_sign_of_large_fractions_agrees_with_verify_interval_sign(a, b):

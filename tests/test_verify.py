@@ -132,6 +132,7 @@ def _complete_returns(text: str, factor: str) -> set[str]:
     return {text[i:j + len(factor)] for i, j in zip(starts, starts[1:])}
 
 
+@pytest.mark.oracle
 def test_recurrence_bounds_the_returns_of_every_factor():
     # a factor of length L recurs within R(L) - L + 1 letters, so its complete returns
     # have at most R(L) + 1 letters, and R(R(L) + 1) letters show both of them
@@ -148,6 +149,7 @@ def test_recurrence_bounds_the_returns_of_every_factor():
     assert len(_complete_returns(text[:33], "aabaa")) == 2
 
 
+@pytest.mark.oracle
 def test_closed_form_returns_show_in_twice_the_next_fibonacci_number():
     # w_n occurs at 0, F(n+2) and F(n+3): 2 F(n+3) - 2 letters show both returns, one fewer not
     text = "".join(fibonacci_sequence().letters(2 * fib(16)))
@@ -166,6 +168,7 @@ def _factors_over_the_whole_prefix(snap, length):
     return sorted((Word(letters[i:i + length]) for i in first.values()), key=Word.to_text)
 
 
+@pytest.mark.oracle
 def test_factors_from_the_recurrence_prefix_match_the_whole_prefix():
     snap = Text(fibonacci_sequence(), 2000)
     prefix = "".join(snap.letters)

@@ -56,6 +56,7 @@ def test_discolour_letter_matches_oracle_on_every_colour_letter():
         discolour_letter_oracle(tok) for tok in COLOUR_LETTERS]
 
 
+@pytest.mark.oracle
 @given(letter=st.text(max_size=4))
 @example("'")
 @example("a'")
@@ -106,6 +107,7 @@ def test_fibonacci_prefix_consistency():
         assert long.startswith(gen.prefix(n))
 
 
+@pytest.mark.oracle
 @given(st.lists(st.integers(0, 5000), min_size=1, max_size=8))
 @example([0, 1, 2, 3, 4, 5, 13, 89, 600])
 @example([600, 89, 13, 5, 4, 3, 2, 1, 0])
