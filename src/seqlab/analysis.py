@@ -254,7 +254,6 @@ class FibonacciBispecial:
     |word| = F_{n+3} - 2, |prefix_return| = F_{n+2}, |other_return| = F_{n+1}.
     """
 
-    index: int
     word: Word
     prefix_return: Word
     other_return: Word
@@ -431,7 +430,7 @@ def fibonacci_bispecial(n: int) -> FibonacciBispecial:
         raise ValueError(f"index {n} exceeds the in-memory cap {_FIB_BISPECIAL_MAX}")
     f = fibonacci_sequence().prefix(fib(n + 3))
     split = fib(n + 2)
-    return FibonacciBispecial(n, f[:-2], f[:split], f[split:])
+    return FibonacciBispecial(f[:-2], f[:split], f[split:])
 
 
 def is_balanced(

@@ -12,31 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
 
 from .analysis import RepetitionRecord, max_fractional_power
 from .golden import ONE, GoldenNumber, _floor_surd, fib, sqrt5_sign, surd_decimal, tau_pow
 from .words import ColouringGenerator, SequenceGenerator, colouring
 
 
-class RatioEntry(NamedTuple):
-    index: int
-    bispecial_length: int
-    return_length: int
-    ratio: Fraction
-
-
 @dataclass(frozen=True)
 class ExponentEstimate:
-    """A computed stand-in for an asymptotic critical exponent.
-
-    Either the closed-form bispecial/return length ratios (`ratios` filled)
-    or a repetition scan restricted to long periods (`witness` filled).
+    """A computed stand-in for an asymptotic critical exponent, with the
+    repetition that produced it when it comes from a scan (`witness`).
     Scan results are lower estimates: the true exponent can only be larger.
     """
 
     estimate: Fraction
-    ratios: tuple[RatioEntry, ...] = ()
     witness: RepetitionRecord | None = None
 
 
@@ -92,20 +81,16 @@ class CoefficientBoundCertificate:
         return not self.violations and self.minimal_pair_qualifies
 
 
-def fibonacci_asymptotic_estimate(n_max: int) -> ExponentEstimate:
+def fibonacci_asymptotic_estimate(n: int) -> ExponentEstimate:
     """Asymptotic critical exponent of the Fibonacci word from closed forms.
 
-    Uses the bispecial lengths F_{n+3} - 2 against the shorter return word
-    lengths F_{n+1}; the ratios increase strictly towards tau^2, so the
-    estimate 1 + ratio(n_max) approaches 2 + tau from below.
+    Uses the level-n bispecial length F_{n+3} - 2 against the shorter return
+    word length F_{n+1}; the ratio increases strictly towards tau^2 in n, so
+    the estimate 1 + ratio approaches 2 + tau from below.
     """
-    if n_max < 3:
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
-    ratios = tuple(
-        RatioEntry(n, fib(n + 3) - 2, fib(n + 1), Fraction(fib(n + 3) - 2, fib(n + 1)))
-        for n in range(0, n_max + 1)
-    )
-    return ExponentEstimate(estimate=1 + ratios[-1].ratio, ratios=ratios)
+    if n < 3:
+        raise ValueError(f"level must be at least 3, got {n}")
+    return ExponentEstimate(1 + Fraction(fib(n + 3) - 2, fib(n + 1)))
 
 
 def coefficient_lower_bounds(n: int, c: GoldenNumber | None = None) -> CoefficientBoundCertificate:

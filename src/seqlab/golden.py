@@ -167,18 +167,6 @@ class GoldenNumber:
             raise ZeroDivisionError("inverse of zero in Q(tau)")
         return GoldenNumber((self._a + self._b) / n, -self._b / n)
 
-    def __truediv__(self, other: object) -> GoldenNumber:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> GoldenNumber:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, exponent: int) -> GoldenNumber:
         if not isinstance(exponent, int):
             return NotImplemented
@@ -281,7 +269,6 @@ def tau_pow(n: int) -> GoldenNumber:
 class FibPropertyReport:
     """Pass/fail summary for the classical Fibonacci identities."""
 
-    n_max: int
     results: dict[str, bool] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
 
@@ -338,7 +325,7 @@ def verify_fib_properties(n_max: int) -> FibPropertyReport:
             if F[m + 1] * x + F[m] * y != z
         ),
     }
-    report = FibPropertyReport(n_max=n_max)
+    report = FibPropertyReport()
     for name, witnesses in failures.items():
         witness = next(witnesses, None)
         report.results[name] = witness is None

@@ -39,6 +39,10 @@ MAX_COEFFICIENT_LEVEL = 16
 # 0.65 s and N = 2000 about 5 s
 MAX_FIB_PROPERTIES_LEVEL = 1000
 
+# parikh_membership_suite(MAX) checks (MAX+1)^2 - 1 pairs; on a 2-CPU machine MAX = 1000
+# takes about 1.2 s and MAX = 2000 about 3.5 s
+MAX_PARIKH_COEFFICIENT = 1000
+
 
 def _levels(levels: tuple[int, int]) -> range:
     lo, hi = levels
@@ -157,6 +161,9 @@ def parikh_membership_suite(
     The prefix must show every factor of length 2*max_coefficient.
     """
     _at_least_one(max_coefficient=max_coefficient, horizon=horizon)
+    if max_coefficient > MAX_PARIKH_COEFFICIENT:
+        raise ValueError(f"max_coefficient {max_coefficient} exceeds {MAX_PARIKH_COEFFICIENT}; "
+                         f"the suite would check {(max_coefficient + 1) ** 2 - 1} pairs")
     _guard(horizon, max_horizon)
     shows_all = _recurrence(2 * max_coefficient)
     if horizon < shows_all:
@@ -259,14 +266,15 @@ def divisibility_suite(
     max_len: int = 250,
     max_horizon: int | None = None,
 ) -> list[Check]:
-    """Lengths, discoloured return counts and shortest returns of the
-    sufficiently coloured bispecial factors of each colouring.
+    """Lengths, discoloured return counts and shortest returns of the sufficiently
+    coloured bispecial factors of each colouring; a check with no factor fails.
     """
     _at_least_one(horizon=horizon, max_len=max_len)
     if len(set(deltas)) < len(deltas):
         raise ValueError(f"deltas must not repeat, got {list(deltas)}")
     _guard(horizon, max_horizon)
     lengths = fibonacci_bispecial_lengths(max_len)
+    none = f"no sufficiently coloured bispecial factor of length <= {max_len} at horizon {horizon}"
     checks = []
     for delta in deltas:
         period = 2 ** (delta - 1)
@@ -276,8 +284,8 @@ def divisibility_suite(
         bad_len = [len(w) for w in coloured if len(w) not in lengths]
         checks.append((
             f"delta={delta}: bispecial lengths in the closed-form family",
-            not bad_len,
-            f"{len(coloured)} factors"
+            bool(coloured) and not bad_len,
+            (f"{len(coloured)} factors" if coloured else none)
             + ("" if not bad_len else f", stray lengths {sorted(set(bad_len))[:5]}"),
         ))
         returns = [(w, return_words(w, snap).returns) for w in coloured]
@@ -287,16 +295,17 @@ def divisibility_suite(
                for a, v in counts if a % period or (len(v) - a) % period]
         checks.append((
             f"delta={delta}: discoloured return counts divisible by {period}",
-            not bad,
-            f"{len(counts)} return words" + ("" if not bad else f"; {bad[-1]}"),
+            bool(coloured) and not bad,
+            (f"{len(counts)} return words" if coloured else none)
+            + ("" if not bad else f"; {bad[-1]}"),
         ))
         # a stray length already fails the family check, so the bound reads the others
-        shortest_ok = all(min(map(len, vs)) >= shortest_return_lower_bound(lengths[len(w)], delta)
-                          for w, vs in returns if len(w) in lengths)
+        shortest = [min(map(len, vs)) >= shortest_return_lower_bound(lengths[len(w)], delta)
+                    for w, vs in returns if len(w) in lengths]
         checks.append((
             f"delta={delta}: shortest returns meet the exact lower bound",
-            shortest_ok,
-            "",
+            bool(shortest) and all(shortest),
+            "" if shortest else none if not coloured else "no factor in the closed-form family",
         ))
     return checks
 

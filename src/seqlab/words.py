@@ -196,11 +196,10 @@ class PeriodicGenerator(SequenceGenerator):
         if len(period) == 0:
             raise ValueError("period must be nonempty")
         self.period = period
-        self._period_letters = period.letters()
 
     def _extend(self, n: int) -> None:
-        rounds = -(-(n - len(self._buf)) // len(self._period_letters))
-        self._buf.extend(self._period_letters * rounds)
+        rounds = -(-(n - len(self._buf)) // len(self.period))
+        self._buf.extend(self.period.letters() * rounds)
 
 
 def _gap_period(delta: int, hatted: bool) -> tuple[str, ...]:

@@ -389,6 +389,17 @@ def test_verify_parikh_membership_refuses_a_short_prefix(capsys):
     assert captured.out == ""
 
 
+def test_verify_parikh_membership_refuses_a_coefficient_above_the_cap(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "parikh-membership", "--max", "1001"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert excinfo.value.code == 2
+    assert "max_coefficient 1001 exceeds 1000" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_self_similarity_quick(capsys):
     code, out = run(capsys, "verify", "--suite", "self-similarity", "--n", "1..3")
     assert code == 0
@@ -651,6 +662,14 @@ def test_verify_divisibility_reports_a_stray_length_as_a_failure(capsys, monkeyp
                     "--horizon", "20000", "--max-len", "60")
     assert code == 1
     assert "FAIL: delta=2: bispecial lengths in the closed-form family" in out
+
+
+def test_verify_divisibility_fails_when_no_factor_is_checked(capsys):
+    code, out = run(capsys, "verify", "--suite", "divisibility", "--delta", "7",
+                    "--horizon", "5000", "--max-len", "30")
+    assert code == 1
+    assert out.count("FAIL: delta=7: ") == 3
+    assert "result: fail (3 of 3 checks failed)" in out
 
 
 def test_verify_divisibility_refuses_a_repeated_delta(capsys):

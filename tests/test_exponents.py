@@ -23,26 +23,16 @@ from seqlab.golden import ONE, TAU, GoldenNumber, fib, sqrt5_sign, tau_pow
 from seqlab.words import colouring, is_hatted
 
 
-def test_ratio_sequence_start():
-    estimate = fibonacci_asymptotic_estimate(3)
-    ratios = {entry.index: entry.ratio for entry in estimate.ratios}
-    assert ratios[1] == Fraction(1, 1)
-    assert ratios[2] == Fraction(3, 2)
-    assert ratios[3] == Fraction(6, 3)
-    assert estimate.estimate == 1 + ratios[3]
-
-
-def test_ratio_strictly_increasing_below_tau_squared():
-    estimate = fibonacci_asymptotic_estimate(50)
+def test_closed_form_estimate_increases_below_two_plus_tau():
+    assert fibonacci_asymptotic_estimate(3).estimate == 3
     previous = None
-    ceiling = TAU * TAU
-    for entry in estimate.ratios:
-        assert entry.bispecial_length == fib(entry.index + 3) - 2
-        assert entry.return_length == fib(entry.index + 1)
+    for n in range(3, 51):
+        estimate = fibonacci_asymptotic_estimate(n).estimate
+        assert estimate == 1 + Fraction(fib(n + 3) - 2, fib(n + 1))
         if previous is not None:
-            assert entry.ratio > previous
-        assert (ceiling - entry.ratio).sign() > 0
-        previous = entry.ratio
+            assert estimate > previous
+        assert (TAU + 2 - estimate).sign() > 0
+        previous = estimate
 
 
 def test_ratio_close_to_limit_at_30():

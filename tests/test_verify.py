@@ -124,6 +124,26 @@ def test_divisibility_max_len_past_the_horizon():
     assert verify.divisibility_suite(max_len=2**40, **kwargs) == want
 
 
+def test_divisibility_fails_a_check_that_examined_nothing():
+    # at delta 7 no bispecial factor of length <= 30 is sufficiently coloured
+    start = time.perf_counter()
+    checks = verify.divisibility_suite(deltas=(7,), horizon=5000, max_len=30)
+    assert time.perf_counter() - start < 1
+    none = "no sufficiently coloured bispecial factor of length <= 30 at horizon 5000"
+    assert [(passed, detail) for _, passed, detail in checks] == [(False, none)] * 3
+
+
+def test_parikh_membership_refuses_a_coefficient_above_the_cap():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(
+            "max_coefficient 1001 exceeds 1000; the suite would check 1004003 pairs")):
+        verify.parikh_membership_suite(max_coefficient=1001)
+    # 1000 passes the cap and meets the horizon check, still before any work
+    with pytest.raises(ValueError, match="horizon 100 is below"):
+        verify.parikh_membership_suite(max_coefficient=1000, horizon=100)
+    assert time.perf_counter() - start < 1
+
+
 def _complete_returns(text: str, factor: str) -> set[str]:
     """Brute force: each pair of consecutive occurrences of `factor` in `text`,
     from the first letter of one to the last letter of the next.
