@@ -11,10 +11,13 @@ twice the largest gap seen).
 The per-factor queries (`occurrences`, `return_words`, `derived_sequence`)
 reuse the Text of the last snapshot they encoded while the same letters come
 back, and hold only that one, with every doubling level (below) it has built,
-as a prebuilt Text keeps them. The scans (`max_fractional_power`,
-`is_balanced`, `bispecial_factors`) build a fresh Text per call and neither
-read nor replace it, so a long scanned snapshot is freed on return. Pass a
-prebuilt Text to share one encoding everywhere.
+as a prebuilt Text keeps them. A list with no horizon is matched by one list
+comparison with a copy of the list that built or last matched the held Text,
+so a hit copies nothing; any other source is cut to a tuple and compared
+with the held letters. The scans (`max_fractional_power`, `is_balanced`,
+`bispecial_factors`) build a fresh Text per call and neither read nor
+replace it, so a long scanned snapshot is freed on return. Pass a prebuilt
+Text to share one encoding everywhere.
 
 A Text codes each letter by its rank of first appearance, in one pass, both
 as a str for C-speed substring search and as a read-only numpy array; its
@@ -25,14 +28,20 @@ the narrowest unsigned type that holds every window count.
 
 A Text also keeps the doubling names of Karp, Miller and Rosenberg (1972),
 built level by level on first use: two positions share a level-k name exactly
-when the 2^k letters from there are equal. The per-factor queries read them
-with whole-array numpy work and no loop over occurrences: one str.find finds
-a first occurrence and two name comparisons find the rest, and two gaps
+when the 2^k letters from there are equal. A round ranks the pairs of names
+by one sort of int64 values, each pair's key in the high bits and its
+position in the low bits, so equal keys sort by position and the low bits
+give the order, with no argsort (several times slower than a sort); below
+about 2^21 letters every key and position fit in 63 bits, and past that a
+round falls back to an argsort. The per-factor queries read the names with
+whole-array numpy work and no loop over occurrences: one str.find finds a
+first occurrence and two name comparisons find the rest, and two gaps
 between occurrences are the same return word exactly when their lengths and
 the names of their two ends agree. `bispecial_factors` sorts the suffixes
-with the same doubling rounds and reads the bispecial factors off the suffix
-array and LCP array (Kasai et al. 2001) as lcp-intervals (Abouelhoda, Kurtz
-and Ohlebusch 2004) with two right and two left letters.
+with the same doubling rounds and one more packed sort, and reads the
+bispecial factors off the suffix array and LCP array (Kasai et al. 2001) as
+lcp-intervals (Abouelhoda, Kurtz and Ohlebusch 2004) with two right and two
+left letters.
 
 The period scan of `max_fractional_power` locates runs only on periods that
 can beat the best exponent found so far: whether the agreement mask of a
@@ -62,9 +71,10 @@ class Text:
     array of the smallest unsigned dtype that holds every rank) and `string`
     the same ranks as a str of chr(rank), for str.find. Constructing a Text
     from a Text returns it unchanged; it is already cut, so a horizon is refused.
+    `_as_list` is None, except on the query memo's Text (`_query_snapshot`).
     """
 
-    __slots__ = ("letters", "alphabet", "codes", "string", "_rank", "_levels")
+    __slots__ = ("letters", "alphabet", "codes", "string", "_rank", "_levels", "_as_list")
 
     def __new__(cls, source: Source, horizon: int | None = None) -> Text:
         if isinstance(source, Text):
@@ -81,6 +91,7 @@ class Text:
         self.codes = wide.astype(np.min_scalar_type(max(len(ranks) - 1, 0)))
         self.codes.flags.writeable = False
         self._levels: list[np.ndarray] = []
+        self._as_list: list[str] | None = None
         return self
 
     def __len__(self) -> int:
@@ -120,17 +131,22 @@ def _double(names: np.ndarray, width: int, top: int) -> np.ndarray:
     """One doubling round, shared by the query names and the suffix array: the
     names of 2 * width letters, as the dense rank of the pairs (names[i],
     names[i + width]), with `top` the largest of `names`. A pair is packed as
-    names[i] * (top + 1) + names[i + width], which keeps the order, and the
-    packed pairs are ranked by one sort. Equal pairs get equal ranks however the
-    sort breaks ties, so it need not be stable. No key outlives its round; the
-    caller keeps only the names.
+    the key names[i] * (top + 1) + names[i + width], which keeps the order.
+    When the key and the position i fit in 63 bits together, the keys are
+    ranked by `_sort_by_position`, one sort; otherwise by an argsort, which
+    need not be stable, since equal pairs get equal ranks however ties break.
+    No key outlives its round; the caller keeps only the names.
     """
     n, span = names.size - 1, top + 1
-    key = names[:n].astype(np.int32 if span * span <= np.iinfo(np.int32).max else np.int64)
+    shift = n.bit_length()
+    key = names[:n].astype(np.int64)
     key *= span
     key[: n - width] += names[width:n]
-    order = np.argsort(key)
-    key = key[order]
+    if 2 * span.bit_length() + shift <= 63:
+        key, order = _sort_by_position(key, shift)
+    else:
+        order = np.argsort(key)
+        key = key[order]
     fresh = np.ones(n, bool)
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     del key
@@ -138,6 +154,20 @@ def _double(names: np.ndarray, width: int, top: int) -> np.ndarray:
     doubled = np.zeros(n + 1, np.int32)
     doubled[order] = rank
     return doubled
+
+
+def _sort_by_position(key: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """`key` (int64, >= 0, below 2^(63 - shift), with 2^shift > key.size)
+    sorted, and the positions in that order, equal keys by position: one sort
+    of key << shift | position, whose low bits are the order. `key` is
+    overwritten.
+    """
+    key <<= shift
+    key |= np.arange(key.size)
+    key.sort()
+    order = key & ((1 << shift) - 1)
+    key >>= shift
+    return key, order
 
 
 class _Ranks(dict):
@@ -171,20 +201,31 @@ def _query_snapshot(source: Source, horizon: int | None) -> Text:
     """The Text for a per-factor query, reused while the same letters come back.
 
     Callers ask about many factors of one snapshot; comparing its letters with
-    the last ones encoded is a C-level tuple comparison, several times cheaper
-    than ranking them again. The old Text is dropped before a new one is built,
-    so at most one is held, with every doubling level its queries have built.
-    The scans build their own Text and leave this one alone, so a long scanned
-    snapshot is freed when its scan returns.
+    the last ones encoded is a C-level comparison, several times cheaper than
+    ranking them again. A list with no horizon is compared, as it is, with
+    `_as_list`, a copy of the list that built or last matched the held Text:
+    items that are the held objects pass by identity, and a hit copies
+    nothing. Any other source, or a list that differs from that copy, is cut
+    to a tuple and compared with the held letters, so a list changed in place
+    is told apart like any other. The copy holds one more reference per
+    letter, and only after a list source. The old Text is dropped before a
+    new one is built, so at most one is held, with every doubling level its
+    queries have built. The scans build their own Text and leave this one
+    alone, so a long scanned snapshot is freed when its scan returns.
     """
     global _query_text
     if isinstance(source, Text):
         return Text(source, horizon)
-    letters = _cut(source, horizon)
     text = _query_text
+    listed = horizon is None and type(source) is list
+    if listed and text is not None and source == text._as_list:
+        return text
+    letters = _cut(source, horizon)
     if text is None or text.letters != letters:
         _query_text = text = None  # free the old snapshot before building the new one
         _query_text = text = Text(letters)
+    if listed:
+        text._as_list = list(letters)
     return text
 
 
@@ -279,10 +320,11 @@ def _positions(factor: Word, text: Text) -> np.ndarray:
     return hits
 
 
-def _first_appearances(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of equal-length integer columns, told apart exactly: the index of
-    each distinct row's first appearance, ascending, and every row's number
-    in that order. The columns are compared as they are, never packed.
+def _distinct_rows(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of equal-length integer columns, told apart exactly: the row
+    indices in the rows' lexicographic order, equal rows by index, and whether
+    each row in that order differs from the one before it. The columns are
+    compared as they are, never packed.
     """
     order = np.lexsort(columns)  # stable, so equal rows keep their index order
     repeat = np.zeros(order.size, bool)  # a sorted row equal to the one before it
@@ -290,18 +332,32 @@ def _first_appearances(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for column in columns:
         ranked = column[order]
         repeat[1:] &= ranked[1:] == ranked[:-1]
-    fresh = ~repeat
-    firsts = order[fresh]
-    by_first = np.argsort(firsts)
+    return order, ~repeat
+
+
+def _first_appearances(*columns: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first appearance, ascending: the first
+    row of each run of equal rows in `_distinct_rows`' order, sorted. No row
+    is numbered; `_walk` does that for the callers that need every number.
+    """
+    order, fresh = _distinct_rows(columns)
+    return np.sort(order[fresh])
+
+
+def _walk(*columns: np.ndarray) -> np.ndarray:
+    """Every row's number, the distinct rows numbered from 0 in order of first appearance."""
+    order, fresh = _distinct_rows(columns)
+    by_first = np.argsort(order[fresh])
     walk = np.empty_like(order)
     walk[order] = np.argsort(by_first)[np.cumsum(fresh) - 1]
-    return firsts[by_first], walk
+    return walk
 
 
-def _return_walk(factor: Word, text: Text) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One walk over the occurrences of `factor`: their positions, the index of
-    the first appearance of each distinct gap between consecutive ones, in
-    order, and the gap number of every step.
+def _gap_rows(factor: Word, text: Text) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The positions of `factor`, ascending, and a row for each gap between
+    consecutive ones: equal rows are the same return word. `return_words`
+    reads the first appearance of each row, and `derived_sequence` numbers
+    them all.
 
     A gap no longer than the factor is its prefix, so its length names it. A
     longer one is the factor followed by a middle of M letters, named by its
@@ -320,7 +376,7 @@ def _return_walk(factor: Word, text: Text) -> tuple[np.ndarray, np.ndarray, np.n
         names, at = text._names(k), levels == k
         heads[long[at]] = names[starts[at]]
         tails[long[at]] = names[ends[at] - (1 << k)]
-    return (positions, *_first_appearances(tails, heads, lengths))
+    return positions, (tails, heads, lengths)
 
 
 def occurrences(factor: Word, source: Source, horizon: int | None = None) -> OccurrenceList:
@@ -333,7 +389,7 @@ def occurrences(factor: Word, source: Source, horizon: int | None = None) -> Occ
 def return_words(factor: Word, source: Source, horizon: int | None = None) -> ReturnWordSet:
     """Distinct words separating consecutive occurrences of `factor`."""
     text = _query_snapshot(source, horizon)
-    positions, firsts, _ = _return_walk(factor, text)
+    positions, rows = _gap_rows(factor, text)
     count = positions.size
     if count < 2:
         name = (repr(factor.to_text()) if len(factor) <= 30
@@ -342,6 +398,7 @@ def return_words(factor: Word, source: Source, horizon: int | None = None) -> Re
             f"factor {name} occurs {count} time(s) "
             "in the snapshot; need at least 2 to observe a return word"
         )
+    firsts = _first_appearances(*rows)
     starts, ends = positions[firsts].tolist(), positions[firsts + 1].tolist()
     complete = max(ends) <= len(text) // 2
     returns = tuple(Word(text.letters[start:end]) for start, end in zip(starts, ends))
@@ -352,16 +409,18 @@ def _suffix_array(text: Text, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Suffix order by the first `depth` letters (ties by position) and each
     suffix's LCP with the one before it in that order, capped at `depth`.
 
-    The order is a stable sort of the names of the first 2^k >= depth letters
-    (fewer once every suffix has its own name), and the LCP is binary lifting
-    over the names of every level up to it: two suffixes that share lcp
-    letters share 2^k more exactly when their level-k names at offset lcp
-    are equal.
+    The order sorts the names of the first 2^k >= depth letters (fewer once
+    every suffix has its own name), ties by position, by `_sort_by_position`,
+    and the LCP is binary lifting over the names of every level up to it:
+    two suffixes that share lcp letters share 2^k more exactly when their
+    level-k names at offset lcp are equal.
     """
     n, last = len(text), (depth - 1).bit_length()  # the least k with 2^k >= depth
     text._names(last)
     levels = text._levels[: last + 1]
-    order = np.argsort(levels[-1][:n], kind="stable").astype(np.int32)
+    # names are <= n < 2^31, so a name and a position fit in 62 bits
+    order = _sort_by_position(levels[-1][:n].astype(np.int64), n.bit_length())[1]
+    order = order.astype(np.int32)
     lcp = np.zeros(n, np.int32)  # lcp[0] stays 0: no suffix before the first
     above, below = order[:-1], order[1:]
     for k in reversed(range(len(levels))):
@@ -494,10 +553,10 @@ def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -
     text = _query_snapshot(source, horizon)
     if tuple(factor) != text.letters[: len(factor)]:
         raise ValueError(f"factor {factor.to_text()!r} is not a prefix of the sequence")
-    positions, _, walk = _return_walk(factor, text)
+    positions, rows = _gap_rows(factor, text)
     if positions.size < 2:
         raise ValueError("need at least 2 occurrences to derive")
-    return Word(map(str, (walk + 1).tolist()))
+    return Word(map(str, (_walk(*rows) + 1).tolist()))
 
 
 def parikh_is_fib_factor(k: int, ell: int) -> bool:

@@ -154,11 +154,27 @@ def _factors(prefix: str, length: int) -> list[Word]:
     return [Word(f) for f in sorted(windows)]
 
 
+def _a_counts(max_len: int) -> dict[int, set[int]]:
+    """Length L -> the numbers of a in the Fibonacci word's factors of length L,
+    for 1 <= L <= max_len, read off the windows inside the first R(L) letters.
+    """
+    text = Text(fibonacci_sequence(), _recurrence(max_len))
+    is_a = text.codes == text.alphabet.index("a")
+    sums = np.concatenate([[0], np.cumsum(is_a, dtype=np.int64)])
+    counts = {}
+    for length in range(1, max_len + 1):
+        shown = sums[: _recurrence(length) + 1]
+        counts[length] = set(np.flatnonzero(np.bincount(shown[length:] - shown[:-length])).tolist())
+    return counts
+
+
 def parikh_membership_suite(
     *, max_coefficient: int = 60, horizon: int = 10**4, max_horizon: int | None = None
 ) -> list[Check]:
     """The exact Parikh predicate against a prefix, at 0 <= k, ell <= max_coefficient.
-    The prefix must show every factor of length 2*max_coefficient.
+    The prefix must show every factor of length 2*max_coefficient; the counts
+    are read off its first R(2*max_coefficient) letters (`_a_counts`), which
+    show them all, so the cost does not grow with the horizon.
     """
     _at_least_one(max_coefficient=max_coefficient, horizon=horizon)
     if max_coefficient > MAX_PARIKH_COEFFICIENT:
@@ -169,12 +185,7 @@ def parikh_membership_suite(
     if horizon < shows_all:
         raise ValueError(f"horizon {horizon} is below {shows_all}, the prefix length that "
                          f"shows every factor of length {2 * max_coefficient}")
-    text = Text(fibonacci_sequence(), horizon)
-    is_a = text.codes == text.alphabet.index("a")
-    sums = np.concatenate([[0], np.cumsum(is_a, dtype=np.int64)])
-    # the numbers of a in the windows of each length
-    observed = {length: set(np.flatnonzero(np.bincount(sums[length:] - sums[:-length])).tolist())
-                for length in range(1, 2 * max_coefficient + 1)}
+    observed = _a_counts(2 * max_coefficient)
     pairs = [(k, ell) for k in range(max_coefficient + 1)
              for ell in range(max_coefficient + 1) if k + ell > 0]
     mismatches = [(k, ell) for k, ell in pairs

@@ -1,6 +1,7 @@
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -775,6 +776,144 @@ def test_query_memo_keeps_every_level_it_builds(monkeypatch):
     assert analysis._query_text is held and not rounds
 
 
+def test_an_equal_list_is_recognised_without_a_copy(monkeypatch):
+    made = {"Text": 0, "cut": 0, "round": 0}
+
+    class CountedRanks(analysis._Ranks):
+        def __init__(self):
+            made["Text"] += 1
+            super().__init__()
+
+    def counted(name, real):
+        def call(*args):
+            made[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(analysis, "_Ranks", CountedRanks)
+    monkeypatch.setattr(analysis, "_cut", counted("cut", analysis._cut))
+    monkeypatch.setattr(analysis, "_double", counted("round", analysis._double))
+    monkeypatch.setattr(analysis, "_query_text", None)
+    letters = colouring(3).letters(3000)
+    factor = Word(letters[:5])
+    want = query_outcomes(factor, letters)
+    assert made["Text"] == 1 and made["cut"] >= 1 and made["round"] > 0
+    # the same list, an equal copy and the same letters generated again: no
+    # Text, no tuple cut from the source and no doubling round
+    for source in (letters, list(letters), colouring(3).letters(3000)):
+        made.update(Text=0, cut=0, round=0)
+        assert query_outcomes(factor, source) == want
+        assert made == {"Text": 0, "cut": 0, "round": 0}
+    # other sources are cut to a tuple, and the held Text still answers them
+    made.update(Text=0, cut=0, round=0)
+    assert query_outcomes(factor, tuple(letters)) == want
+    assert query_outcomes(factor, letters, len(letters)) == want
+    assert made == {"Text": 0, "cut": 6, "round": 0}
+    # a list changed in place no longer matches the held copy
+    letters[100] = "1'" if letters[100] != "1'" else "2'"
+    made.update(Text=0)
+    assert query_outcomes(factor, letters) == query_outcomes(factor, Text(list(letters)))
+    assert made["Text"] == 2 and analysis._query_text.letters == tuple(letters)
+
+
+def argsort_round(names, width, top):
+    """One doubling round as an unstable argsort of the keys names[i] * (top + 1)
+    + names[i + width] ranked it before the packed sort."""
+    n, span = names.size - 1, top + 1
+    key = names[:n].astype(np.int32 if span * span <= np.iinfo(np.int32).max else np.int64)
+    key *= span
+    key[: n - width] += names[width:n]
+    order = np.argsort(key)
+    key = key[order]
+    fresh = np.ones(n, bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    doubled = np.zeros(n + 1, np.int32)
+    doubled[order] = np.cumsum(fresh, dtype=np.int32)
+    return doubled
+
+
+@st.composite
+def name_arrays(draw):
+    """(names, width): n + 1 int32 names, 1..top on the first n and 0 past the end, and 1 <= width < n."""
+    n = draw(st.integers(2, 300))
+    top = draw(st.integers(1, n))
+    names = np.zeros(n + 1, np.int32)
+    names[:n] = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    return names, draw(st.integers(1, n - 1))
+
+
+@pytest.mark.oracle
+@given(case=name_arrays(), big=st.integers(32, 40))
+@example(case=(np.array([1, 1, 0], np.int32), 1), big=32)
+@example(case=(np.array([2, 1, 2, 1, 2, 0], np.int32), 2), big=40)
+@settings(max_examples=200, deadline=None)
+def test_packed_round_matches_the_argsort_round(case, big):
+    names, width = case
+    top = int(names.max())
+    want = argsort_round(names, width, top)
+    sorts = []
+    real = analysis._sort_by_position
+
+    def counted(*args):
+        sorts.append(1)
+        return real(*args)
+
+    with mock.patch.object(analysis, "_sort_by_position", counted):
+        # small keys take the packed sort; a top of 2^big leaves no room for
+        # the positions in 63 bits and takes the argsort
+        assert np.array_equal(analysis._double(names, width, top), want)
+        assert len(sorts) == 1
+        assert np.array_equal(analysis._double(names, width, 2**big), want)
+        assert len(sorts) == 1
+
+
+@pytest.mark.oracle
+@given(
+    letters=st.integers(1, 300).flatmap(
+        lambda k: st.lists(st.integers(0, k - 1).map(str), min_size=1, max_size=400)),
+    depth=st.integers(1, 450),
+)
+@example(letters=["0"] * 50, depth=8)
+@example(letters=[str(k) for k in range(300)] * 2, depth=301)
+@settings(max_examples=200, deadline=None)
+def test_suffix_array_matches_a_stable_argsort_and_direct_lcps(letters, depth):
+    text = Text(letters)
+    n, depth = len(text), min(depth, len(text) + 1)
+    order, lcp = analysis._suffix_array(text, depth)
+    top = text._names((depth - 1).bit_length())
+    assert order.tolist() == np.argsort(top[:n], kind="stable").tolist()
+    codes = text.codes.tolist()
+    for i in range(1, n):
+        a, b, shared = order[i - 1], order[i], 0
+        while (shared < depth and max(a, b) + shared < n
+               and codes[a + shared] == codes[b + shared]):
+            shared += 1
+        assert lcp[i] == shared
+    assert lcp[0] == 0
+
+
+def names_oracle(codes, k):
+    """Level-k names by brute force: the rank from 1 of each window of 2^k codes
+    (shorter at the end) among the distinct ones in tuple order, then 0."""
+    windows = [tuple(codes[i : i + (1 << k)]) for i in range(len(codes))]
+    rank = {w: r for r, w in enumerate(sorted(set(windows)), 1)}
+    return [rank[w] for w in windows] + [0]
+
+
+@pytest.mark.oracle
+@given(letters=st.integers(1, 300).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1).map(str), max_size=200)))
+@example(letters=[])
+@example(letters=["0"] * 33)
+@example(letters=list("abaababaabaababaababa"))
+@settings(max_examples=200, deadline=None)
+def test_levels_of_a_fresh_text_match_brute_force(letters):
+    text = Text(letters)
+    codes = text.codes.tolist()
+    for k in range(max(len(letters), 1).bit_length() + 2):
+        assert text._names(k).tolist() == names_oracle(codes, k), k
+
+
 def text_oracle(letters):
     """(alphabet, codes, string) ranked with dict.fromkeys and np.fromiter."""
     alphabet = tuple(dict.fromkeys(letters))
@@ -833,7 +972,7 @@ def test_codes_at_the_top_of_their_dtype(width, tail):
     for factor in ([alphabet[-2]], [alphabet[-1]], alphabet[-2:], [alphabet[-1], alphabet[0]]):
         factor = Word(factor)
         count, firsts, walk = return_walk_oracle(factor, text)
-        positions, got_firsts, got_walk = analysis._return_walk(factor, text)
+        positions, got_firsts, got_walk = query_walk(factor, text)
         assert positions.tolist() == positions_oracle(factor, text) and positions.size == count
         assert [(positions[f], positions[f + 1]) for f in got_firsts.tolist()] == firsts
         assert got_walk.tolist() == walk
@@ -854,6 +993,13 @@ def positions_oracle(factor, text):
             positions.append(pos)
             pos = find(pattern, pos + 1)
     return positions
+
+
+def query_walk(factor, text):
+    """(positions, first appearance of each distinct gap, gap number of every
+    step) as `return_words` and `derived_sequence` read them."""
+    positions, rows = analysis._gap_rows(factor, text)
+    return positions, analysis._first_appearances(*rows), analysis._walk(*rows)
 
 
 def return_walk_oracle(factor, text):
@@ -935,7 +1081,7 @@ def test_return_walk_matches_loop_oracle(case):
     letters, factor, horizon = case
     text = Text(letters, horizon)
     count, firsts, walk = return_walk_oracle(factor, text)
-    positions, got_firsts, got_walk = analysis._return_walk(factor, text)
+    positions, got_firsts, got_walk = query_walk(factor, text)
     assert positions.tolist() == positions_oracle(factor, text) and positions.size == count
     assert [(positions[f], positions[f + 1]) for f in got_firsts.tolist()] == firsts
     assert got_walk.tolist() == walk
@@ -949,6 +1095,25 @@ def test_return_walk_matches_loop_oracle(case):
     assert outcome(lambda: derived_sequence(factor, letters, horizon)) == want
 
 
+@pytest.mark.oracle
+@given(case=walk_cases())
+@example(case=(["a"] * 40, Word(["a"] * 7), None))
+@example(case=(list("abcbabccaccba"), Word.from_text("a"), None))
+@settings(max_examples=300, deadline=None)
+def test_first_appearances_are_the_firsts_of_the_walk(case):
+    letters, factor, horizon = case
+    text = Text(letters, horizon)
+    _, rows = analysis._gap_rows(factor, text)
+    walk = analysis._walk(*rows).tolist()
+    # the walk numbers its gaps 0, 1, ... in order of first appearance
+    assert sorted(set(walk)) == list(range(len(set(walk))))
+    firsts = analysis._first_appearances(*rows).tolist()
+    assert firsts == [walk.index(k) for k in range(len(set(walk)))]
+    want = brute_force_returns(text.letters, factor)
+    got = outcome(lambda: return_words(factor, letters, horizon))
+    assert got.returns == want if want else got[0] == "ValueError"
+
+
 def test_first_appearances_are_exact_near_the_horizon_guard():
     # rows (L, a, b) of gap lengths and names up to 10^7 + 1: packing them into one
     # int64 as (L * N + a) * N + b wraps round and makes these two rows collide
@@ -959,8 +1124,8 @@ def test_first_appearances_are_exact_near_the_horizon_guard():
     packed = np.array([(L * N + a) * N + b for L, a, b in rows], dtype=object) % 2**64
     assert packed[0] == packed[1]
     L, a, b = (np.array(column, np.int64) for column in zip(*rows))
-    firsts, walk = analysis._first_appearances(b, a, L)
-    assert firsts.tolist() == [0, 1] and walk.tolist() == [0, 1, 0]
+    assert analysis._first_appearances(b, a, L).tolist() == [0, 1]
+    assert analysis._walk(b, a, L).tolist() == [0, 1, 0]
 
 
 class CountingLetters(Sequence):

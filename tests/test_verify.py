@@ -116,6 +116,20 @@ def test_parikh_membership_needs_a_prefix_that_shows_every_window():
         verify.parikh_membership_suite(max_coefficient=10, horizon=52)
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("horizon", [10**4, 10**5])
+def test_a_counts_equal_the_whole_horizon_enumeration(horizon):
+    is_a = [tok == "a" for tok in fibonacci_sequence().letters(horizon)]
+    sums = [0]
+    for hit in is_a:
+        sums.append(sums[-1] + hit)
+    for max_coefficient in (1, 7, 60):
+        counts = verify._a_counts(2 * max_coefficient)
+        assert sorted(counts) == list(range(1, 2 * max_coefficient + 1))
+        for length, seen in counts.items():
+            assert seen == {sums[i + length] - sums[i] for i in range(horizon - length + 1)}
+
+
 def test_divisibility_max_len_past_the_horizon():
     # no factor is longer than the horizon, and the suffix array's LCPs stay int32
     kwargs = dict(deltas=(2,), horizon=2000)
