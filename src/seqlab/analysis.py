@@ -204,14 +204,15 @@ def _query_snapshot(source: Source, horizon: int | None) -> Text:
     the last ones encoded is a C-level comparison, several times cheaper than
     ranking them again. A list with no horizon is compared, as it is, with
     `_as_list`, a copy of the list that built or last matched the held Text:
-    items that are the held objects pass by identity, and a hit copies
-    nothing. Any other source, or a list that differs from that copy, is cut
-    to a tuple and compared with the held letters, so a list changed in place
-    is told apart like any other. The copy holds one more reference per
-    letter, and only after a list source. The old Text is dropped before a
-    new one is built, so at most one is held, with every doubling level its
-    queries have built. The scans build their own Text and leave this one
-    alone, so a long scanned snapshot is freed when its scan returns.
+    items that are the held objects (as every generator's letters are) pass by
+    identity, and a hit copies nothing. Any other source, or a list that
+    differs from that copy, is cut to a tuple and compared with the held
+    letters, so a list changed in place is told apart like any other. The copy
+    holds one more reference per letter, and only after a list source. The old
+    Text is dropped before a new one is built, so at most one is held, with
+    every doubling level its queries have built. The scans build their own
+    Text and leave this one alone, so a long scanned snapshot is freed when
+    its scan returns.
     """
     global _query_text
     if isinstance(source, Text):

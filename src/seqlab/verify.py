@@ -126,12 +126,14 @@ def golden_sign_suite(*, samples: int = 500, seed: int = 0) -> list[Check]:
     def draw() -> Fraction:
         return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000))
 
-    pairs = [(draw(), draw()) for _ in range(samples)]
-    bad = [f"a={a} b={b}" for a, b in pairs if not agree(a, b)]
+    pairs = ((draw(), draw()) for _ in range(samples))  # drawn as they are checked
+    bad = (f"a={a} b={b}" for a, b in pairs if not agree(a, b))
+    first = next(bad, "")
+    mismatches = bool(first) + sum(1 for _ in bad)
     checks.append((
         f"random samples ({samples} cases, seed {seed})",
-        not bad,
-        "" if not bad else f"{len(bad)} mismatches, first {bad[0]}",
+        not first,
+        "" if not first else f"{mismatches} mismatches, first {first}",
     ))
     return checks
 
@@ -299,20 +301,24 @@ def divisibility_suite(
             (f"{len(coloured)} factors" if coloured else none)
             + ("" if not bad_len else f", stray lengths {sorted(set(bad_len))[:5]}"),
         ))
-        returns = [(w, return_words(w, snap).returns) for w in coloured]
-        counts = [(sum(c for t, c in v.parikh().items() if discolour_letter(t) == "a"), v)
-                  for _, vs in returns for v in vs]
-        bad = [f"counts ({a},{len(v) - a}) at \"{v.to_text()[:30]}\""
-               for a, v in counts if a % period or (len(v) - a) % period]
+        count, bad, shortest = 0, "", []
+        for w in coloured:  # one factor's returns at a time; all run to millions of letters
+            returns = return_words(w, snap).returns
+            count += len(returns)
+            for v in returns:
+                a = sum(c for t, c in v.parikh().items() if discolour_letter(t) == "a")
+                if a % period or (len(v) - a) % period:
+                    bad = f"counts ({a},{len(v) - a}) at \"{v.to_text()[:30]}\""
+            # a stray length already fails the family check, so the bound reads the others
+            if len(w) in lengths:
+                shortest.append(min(map(len, returns))
+                                >= shortest_return_lower_bound(lengths[len(w)], delta))
         checks.append((
             f"delta={delta}: discoloured return counts divisible by {period}",
             bool(coloured) and not bad,
-            (f"{len(counts)} return words" if coloured else none)
-            + ("" if not bad else f"; {bad[-1]}"),
+            (f"{count} return words" if coloured else none)
+            + ("" if not bad else f"; {bad}"),
         ))
-        # a stray length already fails the family check, so the bound reads the others
-        shortest = [min(map(len, vs)) >= shortest_return_lower_bound(lengths[len(w)], delta)
-                    for w, vs in returns if len(w) in lengths]
         checks.append((
             f"delta={delta}: shortest returns meet the exact lower bound",
             bool(shortest) and all(shortest),

@@ -1,8 +1,11 @@
 """Finite words and lazily extended infinite sequences.
 
 Letters are short string tokens. The binary alphabet is {"a", "b"}; the
-gap-colouring alphabets use the digits "1".."9" for plain letters and a
-digit with an ASCII apostrophe ("3'") for their hatted twins. A word over
+coloured alphabet is COLOURED_LETTERS, built once, from each letter to its
+(index, hat): the digits "1".."9" for plain letters and a digit with an
+ASCII apostrophe ("3'") for their hatted twins. Every generator hands out
+these objects, so equal letter lists compare by identity; in JSON they are
+{"index", "hat"} and any other letter is its string. A word over
 single-character letters serializes to the bare concatenation ("abaab");
 anything else serializes space-separated ("1 1' 3 2 3'").
 """
@@ -14,21 +17,15 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import cycle, islice
 
 
+COLOURED_LETTERS = {str(i) + "'" * hat: (i, hat) for i in range(1, 10) for hat in (False, True)}
+_BY_COLOUR = {colour: letter for letter, colour in COLOURED_LETTERS.items()}
+
+
 def coloured_letter(index: int, hatted: bool = False) -> str:
-    if not 1 <= index <= 9:
+    letter = _BY_COLOUR.get((index, bool(hatted)))
+    if letter is None:
         raise ValueError(f"colour index must be in 1..9, got {index}")
-    return f"{index}'" if hatted else str(index)
-
-
-def is_hatted(letter: str) -> bool:
-    return letter.endswith("'")
-
-
-def letter_index(letter: str) -> int:
-    core = letter[:-1] if letter.endswith("'") else letter
-    if not core.isdigit():
-        raise ValueError(f"not a coloured letter: {letter!r}")
-    return int(core)
+    return letter
 
 
 class _Discoloured(dict):
@@ -44,9 +41,8 @@ discolour_letter = _Discoloured().__getitem__
 
 
 def letter_to_json(letter: str) -> object:
-    if letter[:1].isdigit():
-        return {"index": letter_index(letter), "hat": is_hatted(letter)}
-    return letter
+    colour = COLOURED_LETTERS.get(letter)
+    return letter if colour is None else {"index": colour[0], "hat": colour[1]}
 
 
 class Word:
@@ -210,11 +206,8 @@ def _gap_period(delta: int, hatted: bool) -> tuple[str, ...]:
     """
     if not 1 <= delta <= 9:
         raise ValueError(f"delta must be in 1..9, got {delta}")
-    # one str object per letter, so dict lookups on the coloured letters
-    # (Text's ranking) match by identity
-    letter = {k: coloured_letter(k, hatted) for k in range(1, delta + 1)}
     # (i & -i).bit_length() is nu_2(i) + 1
-    return tuple(letter[delta + 1 - (i & -i).bit_length() if i else 1]
+    return tuple(coloured_letter(delta + 1 - (i & -i).bit_length() if i else 1, hatted)
                  for i in range(2 ** (delta - 1)))
 
 

@@ -800,7 +800,10 @@ def test_an_equal_list_is_recognised_without_a_copy(monkeypatch):
     assert made["Text"] == 1 and made["cut"] >= 1 and made["round"] > 0
     # the same list, an equal copy and the same letters generated again: no
     # Text, no tuple cut from the source and no doubling round
-    for source in (letters, list(letters), colouring(3).letters(3000)):
+    again = colouring(3).letters(3000)
+    # the regenerated list holds the very letter objects of the first
+    assert all(x is y for x, y in zip(again, letters))
+    for source in (letters, list(letters), again):
         made.update(Text=0, cut=0, round=0)
         assert query_outcomes(factor, source) == want
         assert made == {"Text": 0, "cut": 0, "round": 0}

@@ -179,6 +179,15 @@ def test_analyze_power_json(capsys):
     assert doc["period"] == 5
 
 
+@pytest.mark.parametrize("word, other", [("1'' 2 1'' 2", "1''"), ("12 2 12 2", "12")])
+def test_analyze_power_json_writes_other_letters_as_strings(capsys, word, other):
+    # a letter outside the coloured alphabet is its string in JSON, not a
+    # colour parsed from its digits
+    code, out = run(capsys, "analyze", "power", "--word", word, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["root"]["letters"] == [other, {"index": 2, "hat": False}]
+
+
 class _Terminal(io.StringIO):
     def isatty(self):
         return True

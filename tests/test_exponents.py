@@ -20,7 +20,7 @@ from seqlab.exponents import (
     threshold_table,
 )
 from seqlab.golden import ONE, TAU, GoldenNumber, fib, sqrt5_sign, tau_pow
-from seqlab.words import colouring, is_hatted
+from seqlab.words import colouring
 
 
 def test_closed_form_estimate_increases_below_two_plus_tau():
@@ -345,7 +345,7 @@ def test_threshold_table_validation():
 def test_hatted_letters_stay_distinct_after_split():
     # splitting never invents hats: fresh letters are plain
     split = split_letter(colouring(2), "1")
-    assert not any(is_hatted(t) for t in split.letters(512) if t in ("A", "B"))
+    assert not any(t.endswith("'") for t in split.letters(512) if t in ("A", "B"))
 
 
 def surd_bracket(p: Fraction, q: Fraction, r: int, bits: int) -> tuple[Fraction, Fraction]:

@@ -1,16 +1,24 @@
 """The check suites of seqlab.verify, called directly with keyword arguments."""
 
 import ast
+import random
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from seqlab import verify
-from seqlab.analysis import Text, fibonacci_bispecial
+from seqlab.analysis import (
+    Text,
+    bispecial_factors,
+    fibonacci_bispecial,
+    return_words,
+    sufficiently_coloured,
+)
 from seqlab.golden import fib
-from seqlab.words import Word, fibonacci_sequence
+from seqlab.words import Word, colouring, fibonacci_sequence
 
 SMALL = {
     "fib-properties": dict(levels=(1, 30)),
@@ -252,3 +260,30 @@ def test_suites_do_not_depend_on_the_command_line():
             imported |= {node.module or ""} | {alias.name for alias in node.names}
     assert "argparse" not in imported
     assert not {"cli", "seqlab.cli"} & imported
+
+
+def test_divisibility_reports_the_last_failing_return(monkeypatch):
+    # only the letter 1 counts as plain, so some returns fail the law; the detail
+    # names the last of them, factors in census order and returns in their order
+    monkeypatch.setattr(verify, "discolour_letter", lambda t: "a" if t == "1" else "b")
+    snap = Text(colouring(3), 3000)
+    coloured = [w for w in bispecial_factors(snap, None, 20) if sufficiently_coloured(w, 4)]
+    returns = [v for w in coloured for v in return_words(w, snap).returns]
+    failing = [v for v in returns if v.count("1") % 4 or (len(v) - v.count("1")) % 4]
+    assert 1 < len(failing) < len(returns)
+    last = failing[-1]
+    _, passed, detail = verify.divisibility_suite(deltas=(3,), horizon=3000, max_len=20)[1]
+    assert not passed
+    assert detail == (f"{len(returns)} return words; counts ({last.count('1')},"
+                      f"{len(last) - last.count('1')}) at \"{last.to_text()[:30]}\"")
+
+
+def test_golden_sign_counts_every_mismatch_and_names_the_first(monkeypatch):
+    # every pair disagrees, so the detail counts all of them and names the first
+    # drawn: the seed's first two draws
+    monkeypatch.setattr(verify, "_interval_sign", lambda p, q: 2)
+    rng = random.Random(7)
+    a, b = (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)) for _ in range(2))
+    checks = verify.golden_sign_suite(samples=50, seed=7)
+    assert checks[-1] == ("random samples (50 cases, seed 7)", False,
+                          f"50 mismatches, first a={a} b={b}")

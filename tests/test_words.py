@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlab.words import (
+    COLOURED_LETTERS,
     ColouringGenerator,
     PeriodicGenerator,
     Word,
@@ -14,8 +15,6 @@ from seqlab.words import (
     discolour,
     discolour_letter,
     fibonacci_sequence,
-    is_hatted,
-    letter_index,
     letter_to_json,
 )
 
@@ -28,15 +27,40 @@ words = st.lists(letters, max_size=40).map(Word)
 def test_letter_helpers():
     assert coloured_letter(3) == "3"
     assert coloured_letter(3, hatted=True) == "3'"
-    assert is_hatted("3'") and not is_hatted("3")
-    assert letter_index("7'") == 7
     assert discolour_letter("4") == "a"
     assert discolour_letter("4'") == "b"
     assert discolour_letter("a") == "a" and discolour_letter("b") == "b"
     assert letter_to_json("b") == "b"
     assert letter_to_json("2'") == {"index": 2, "hat": True}
-    with pytest.raises(ValueError):
-        coloured_letter(10)
+    for index in (0, 10, 2.5):
+        with pytest.raises(ValueError, match="colour index must be in 1..9"):
+            coloured_letter(index)
+
+
+@pytest.mark.parametrize("letter, rendered", [
+    ("a", "a"),
+    ("A", "A"),
+    ("1", {"index": 1, "hat": False}),
+    ("9'", {"index": 9, "hat": True}),
+    # not letters of the coloured alphabet: written as they are
+    ("12", "12"),
+    ("1''", "1''"),
+    ("1a", "1a"),
+    ("10'", "10'"),
+])
+def test_letter_to_json_renders_exactly_the_coloured_letters(letter, rendered):
+    assert letter_to_json(letter) == rendered
+
+
+@pytest.mark.parametrize("delta", range(1, 10))
+def test_every_generator_hands_out_the_same_letter_objects(delta):
+    n = 3 * 2 ** delta
+    for make in (colouring, lambda d: constant_gap(d, False), lambda d: constant_gap(d, True)):
+        first, second = make(delta).letters(n), make(delta).letters(n)
+        assert first == second
+        assert all(x is y for x, y in zip(first, second))
+    table = {id(t) for t in COLOURED_LETTERS}
+    assert {id(t) for t in colouring(delta).letters(n)} <= table
 
 
 def discolour_letter_oracle(letter: str) -> str:
@@ -152,7 +176,7 @@ def test_constant_gap_letters_sit_on_residue_classes(delta):
     # the class 2^(delta-k) modulo 2^(delta-k+1)
     period = 2 ** (delta - 1)
     for i, tok in enumerate(constant_gap(delta).letters(3 * period)):
-        k = letter_index(tok)
+        k = letter_to_json(tok)["index"]
         if k == 1:
             assert i % period == 0
         else:
@@ -162,7 +186,7 @@ def test_constant_gap_letters_sit_on_residue_classes(delta):
 def test_constant_gap_hatted_copy():
     hatted = constant_gap(3, hatted=True)
     assert hatted.prefix(4).to_text() == "1' 3' 2' 3'"
-    assert all(is_hatted(t) for t in hatted.letters(32))
+    assert all(t.endswith("'") for t in hatted.letters(32))
 
 
 def test_constant_gap_positions_are_arithmetic():
