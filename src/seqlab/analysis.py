@@ -47,7 +47,14 @@ The period scan of `max_fractional_power` locates runs only on periods that
 can beat the best exponent found so far: whether the agreement mask of a
 period holds a long enough run is decided first, exactly, by a few shifted
 ANDs, so skipped periods are exactly those that could not change the result.
-Runs are then located by binary lifting on the same ANDs.
+Runs are then located by binary lifting on the same ANDs. Most periods are
+ruled out before the agreement mask is built: the codes are read as unsigned
+integers of s letters (at most 8 bytes), from offset 0 and from offset p, so
+one integer compare tells whether an aligned block of s letters agrees at
+shift p. A run of `need` agreements, with 2s - 1 <= need, covers at least
+(need - s + 1) // s >= 1 whole aligned blocks, so a period whose n/s block
+agreements hold no run that long has no run of `need` either and is skipped
+exactly. This test builds no doubling level.
 """
 
 from __future__ import annotations
@@ -604,6 +611,21 @@ def _has_run(eq: np.ndarray, need: int) -> bool:
     return bool(w.any())
 
 
+def _blocks_may_run(codes: np.ndarray, p: int, need: int) -> bool:
+    """False only when `codes[p:] == codes[:-p]` holds no run of `need` True
+    values, 1 <= need <= len(codes) - p: the block test that
+    `max_fractional_power` describes, with each s-letter block [js, js + s)
+    read as one unsigned integer. True whenever s < 2 leaves nothing to test.
+    """
+    s = min(8 // codes.itemsize, 1 << (((need + 1) // 2).bit_length() - 1))
+    if s < 2:
+        return True
+    m = (len(codes) - p) // s
+    block = np.dtype(f"u{s * codes.itemsize}")
+    agree = codes[: m * s].view(block) == codes[p : p + m * s].view(block)
+    return _has_run(agree, (need - s + 1) // s)
+
+
 def max_fractional_power(
     source: Source,
     horizon: int | None = None,
@@ -622,7 +644,12 @@ def max_fractional_power(
     Periods are pruned exactly. With best exponent e* so far, period p beats
     it only with a run r > (e* - 1)*p, that is r >= need = floor((e* - 1)*p) + 1
     in integers. A period with fewer than `need` comparisons is skipped
-    unread; otherwise about log2(need) shifted ANDs of the agreement mask
+    unread. Next, with s the largest power of two with 2s - 1 <= need (capped
+    so that s letters fit in 8 bytes), a run of `need` agreements covers at
+    least (need - s + 1) // s whole aligned s-letter blocks, and a block agrees
+    exactly when the codes read as one integer at its start and p further on
+    are equal; a period whose block agreements hold no run that long is
+    skipped. Otherwise about log2(need) shifted ANDs of the agreement mask
     decide whether such a run exists, and only then are the runs located.
     Every located period therefore raises e*, and skipped ones could not have,
     so the result equals that of scanning every period in full.
@@ -645,7 +672,7 @@ def max_fractional_power(
         if progress is not None and i % step == 0:
             progress(i, total)
         need = best_run * p // best_period + 1
-        if need > n - p:
+        if need > n - p or not _blocks_may_run(arr, p, need):
             continue
         eq = arr[p:] == arr[:-p]
         if _has_run(eq, need):

@@ -591,6 +591,93 @@ def test_pruned_scan_matches_unpruned_scan():
     assert got_calls == want_calls
 
 
+def test_block_pretest_leaves_few_full_masks():
+    # the input above: without the block pre-test the scan runs `_has_run` on
+    # all 351 full agreement masks; with it, most periods end on n/s-entry masks
+    letters, lo, hi = colouring(3).letters(5000), 50, 400
+    with mock.patch.object(analysis, "_has_run", wraps=analysis._has_run) as spy:
+        max_fractional_power(letters, None, lo, hi)
+    full = [call for call in spy.call_args_list if call.args[0].size >= len(letters) - hi]
+    assert 1 <= len(full) <= 10
+
+
+def tagged_fibonacci(modulus, horizon):
+    """Letter i of the Fibonacci word tagged with i % modulus, so at least
+    `modulus` letters: shifts that are multiples of the modulus agree where the
+    Fibonacci word does, and other shifts nowhere.
+    """
+    return [f"{c}{i % modulus}" for i, c in enumerate(fibonacci_sequence().letters(horizon))]
+
+
+def planted_runs(size):
+    """`size` distinct letters, then 800 more whose copies of the first letters
+    plant runs of 100, 200 and 50 agreements at shifts size, size + 3 and size + 6.
+    """
+    head = [f"x{i}" for i in range(size)]
+    tail = [f"y{j}" for j in range(800)]
+    tail[0:100], tail[303:503], tail[600:650] = head[0:100], head[300:500], head[594:644]
+    return head + tail
+
+
+@pytest.mark.parametrize(("letters", "window", "dtype"), [
+    (tagged_fibonacci(150, 5000), (100, 1000), np.uint16),
+    (planted_runs(65537), (65532, 65550), np.uint32),
+], ids=["uint16", "uint32"])
+def test_scan_over_wide_alphabet_matches_unpruned_scan(letters, window, dtype):
+    assert Text(letters).codes.dtype == dtype
+    record = max_fractional_power(letters, None, *window)
+    want = unpruned_max_power(letters, *window, lambda *call: None)
+    assert (record.exponent, record.period, record.position) == want
+
+
+@st.composite
+def block_cases(draw):
+    """Codes of dtype uint8, uint16 or uint32 over 1-4 values spread across the
+    dtype's range (so every byte of a block matters), random or periodic with a
+    few codes changed, and a shift p and run length need with
+    1 <= need <= len(codes) - p.
+    """
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    top = int(np.iinfo(dtype).max)
+    values = draw(st.lists(st.integers(0, top), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(2, 200))
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    else:
+        root = draw(st.lists(st.sampled_from(values), min_size=1, max_size=12))
+        codes = (root * n)[:n]
+        for _ in range(draw(st.integers(0, 4))):
+            codes[draw(st.integers(0, n - 1))] = draw(st.sampled_from(values))
+    p = draw(st.integers(1, n - 1))
+    need = draw(st.integers(1, n - p))
+    return np.array(codes, dtype), p, need
+
+
+def _block_case(dtype, codes, p, need):
+    return np.array(codes, dtype), p, need
+
+
+@pytest.mark.oracle
+@given(case=block_cases())
+# p not a multiple of s, runs starting off a block boundary
+@example(case=_block_case(np.uint8, [0, 1, 2, 3, 9, 9, 1, 2, 3, 8], 5, 3))
+@example(case=_block_case(np.uint16, [7, 300, 300, 300, 300, 300, 300, 300, 5], 3, 5))
+@example(case=_block_case(np.uint8, [5] * 9 + [6] + [5] * 9, 5, 7))
+# need = 2s - 1 exactly, for s = 2, 4 and 8
+@example(case=_block_case(np.uint32, [1, 2, 3, 4, 1, 2, 3, 9, 1, 2], 4, 3))
+@example(case=_block_case(np.uint16, [4, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 0], 7, 7))
+@example(case=_block_case(np.uint8, list(range(11)) * 3, 11, 15))
+@example(case=_block_case(np.uint8, list(range(11)) * 3, 11, 16))
+@settings(max_examples=400, deadline=None)
+def test_block_pretest_rejects_only_periods_without_a_run(case):
+    codes, p, need = case
+    codes.flags.writeable = False  # as Text.codes
+    eq = codes[p:] == codes[:-p]
+    has_run = longest_run_oracle(eq)[0] >= need
+    assert analysis._has_run(eq, need) == has_run
+    assert analysis._blocks_may_run(codes, p, need) or not has_run
+
+
 def test_sufficiently_coloured():
     assert not sufficiently_coloured(colouring(3).prefix(8), 4)
     assert sufficiently_coloured(colouring(3).prefix(19), 4)
