@@ -601,8 +601,11 @@ def _has_run(eq: np.ndarray, need: int) -> bool:
 
     w[i] tells whether eq[i : i + span] is all True. Each step ANDs w with
     itself shifted by k <= span, which extends span by k, so span reaches
-    `need` after about log2(need) steps.
+    `need` after about log2(need) steps. A run of `need` True values needs
+    `need` of them, so a mask with fewer takes no step.
     """
+    if np.count_nonzero(eq) < need:
+        return False
     w, span = eq, 1
     while span < need:
         k = min(span, need - span)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import cycle, islice
+
+import numpy as np
 
 
 COLOURED_LETTERS = {str(i) + "'" * hat: (i, hat) for i in range(1, 10) for hat in (False, True)}
@@ -126,36 +127,82 @@ class Word:
         return self._letters
 
 
+# letters per numpy pass: its temporaries (an index or an object array, 8
+# bytes a letter) stay small, so a long prefix costs its codes and its list
+_CHUNK = 1 << 16
+
+
 class SequenceGenerator:
     """Lazy prefix provider for an infinite sequence.
 
-    Prefixes are memoized in one growing buffer, so prefix(m) is always a
-    prefix of prefix(n) for m <= n and repeated calls return identical
-    content. _extend(n) grows the buffer in place to at least n letters;
-    a generator built on another reads that one's buffer after _ensure(n)
-    instead of copying it. Extension is single-writer (not thread-safe);
-    the lists handed out by letters() are copies and safe to share.
+    The prefix is held as codes: `_codes[:_filled]` is an unsigned integer
+    array in which code k stands for the k-th letter of `_index`, which maps
+    each distinct letter to its code. A letter gets its code from `_codes_of`
+    when first met, and is handed out as the object it was first met as.
+    Prefixes are memoized, so prefix(m) is always a prefix of prefix(n) for
+    m <= n and repeated calls return identical content.
+
+    A subclass implements `_extend(n)`, called with n > `_filled`: it codes
+    every new letter with `_codes_of`, then takes the buffer from `_reserve(n)`
+    (reallocated, at least doubled, only when too short or too narrow for the
+    codes), writes codes `_filled .. n - 1` into it and sets `_filled` to at
+    least n. A generator built on another calls that one's `_ensure(n)` and
+    reads its `_codes` in place. Extension is single-writer (not
+    thread-safe). letters(n) returns a fresh list of the shared letter
+    objects, safe to keep and to change.
     """
 
     def __init__(self) -> None:
-        self._buf: list[str] = []
+        self._index: dict[str, int] = {}
+        self._table = np.empty(0, object)  # the letters of _index, for take
+        self._codes = np.empty(0, np.uint8)
+        self._filled = 0
 
     def _extend(self, n: int) -> None:
         raise NotImplementedError
 
+    def _codes_of(self, letters: Iterable[str]) -> np.ndarray:
+        index = self._index
+        codes = [index.setdefault(letter, len(index)) for letter in letters]
+        return np.array(codes, np.min_scalar_type(max(codes)))
+
+    def _letter_table(self) -> np.ndarray:
+        if len(self._table) < len(self._index):
+            self._table = np.empty(len(self._index), object)
+            self._table[:] = list(self._index)
+        return self._table
+
+    def _reserve(self, n: int) -> np.ndarray:
+        codes = self._codes
+        dtype = np.promote_types(codes.dtype, np.min_scalar_type(max(len(self._index) - 1, 0)))
+        if len(codes) < n or dtype != codes.dtype:
+            grown = np.empty(max(n, 2 * len(codes)), dtype)
+            grown[: self._filled] = codes[: self._filled]
+            self._codes = codes = grown
+        return codes
+
     def _ensure(self, n: int) -> None:
         if n < 0:
             raise ValueError(f"prefix length must be >= 0, got {n}")
-        if len(self._buf) < n:
+        if self._filled < n:
             self._extend(n)
 
     def prefix(self, n: int) -> Word:
-        self._ensure(n)
-        return Word(self._buf[:n])
+        return Word(self.letters(n))
 
     def letters(self, n: int) -> list[str]:
         self._ensure(n)
-        return self._buf[:n]
+        table = self._letter_table()
+        letters: list[str] = []
+        for i in range(0, n, _CHUNK):
+            letters += table.take(self._codes[i : min(n, i + _CHUNK)]).tolist()
+        return letters
+
+
+def _cycle(period: np.ndarray, start: int, m: int) -> np.ndarray:
+    """Letters start .. start + m - 1 of `period` repeated forever."""
+    r = start % len(period)
+    return np.tile(period, -(-(r + m) // len(period)))[r : r + m]
 
 
 class _FibonacciGenerator(SequenceGenerator):
@@ -169,33 +216,37 @@ class _FibonacciGenerator(SequenceGenerator):
 
     def __init__(self) -> None:
         super().__init__()
-        self._buf.extend("ab")
+        self._codes = self._codes_of("ab")
+        self._filled = 2
         self._pair = (2, 3)
 
     def _extend(self, n: int) -> None:
-        buf = self._buf
-        while len(buf) < n:
+        codes = self._reserve(n)
+        while self._filled < n:
             low, high = self._pair
-            # the copy stops at F_{j+1} - F_j <= F_j <= len(buf), so islice
-            # reads only letters already in the buffer and the prefix is
-            # never copied
-            buf.extend(islice(buf, len(buf) - low, min(n, high) - low))
-            if len(buf) == high:
+            stop = min(n, high)
+            # the copy ends at F_{j+1} - F_j <= F_j <= _filled, so it reads
+            # only codes already filled and never the ones it writes
+            codes[self._filled : stop] = codes[self._filled - low : stop - low]
+            self._filled = stop
+            if stop == high:
                 self._pair = (high, low + high)
 
 
 class PeriodicGenerator(SequenceGenerator):
-    """Purely periodic sequence, extended by whole periods."""
+    """Purely periodic sequence: its period tiled."""
 
     def __init__(self, period: Word) -> None:
         super().__init__()
         if len(period) == 0:
             raise ValueError("period must be nonempty")
         self.period = period
+        self._period = self._codes_of(period)
 
     def _extend(self, n: int) -> None:
-        rounds = -(-(n - len(self._buf)) // len(self.period))
-        self._buf.extend(self.period.letters() * rounds)
+        codes = self._reserve(n)
+        codes[self._filled : n] = _cycle(self._period, self._filled, n - self._filled)
+        self._filled = n
 
 
 def _gap_period(delta: int, hatted: bool) -> tuple[str, ...]:
@@ -217,23 +268,6 @@ def constant_gap(delta: int, hatted: bool = False) -> PeriodicGenerator:
     return PeriodicGenerator(Word(_gap_period(delta, hatted)))
 
 
-class _Streams(dict):
-    """letter -> endless cycle over its period, built when the letter first
-    appears."""
-
-    def __init__(self, periods: Callable[[str], Sequence[str]]) -> None:
-        super().__init__()
-        self._periods = periods
-
-    def __missing__(self, letter: str) -> Iterator[str]:
-        period = tuple(self._periods(letter))
-        if not period:
-            # next() on an empty cycle would end the map in _extend silently
-            raise ValueError(f"empty period for letter {letter!r}")
-        stream = self[letter] = cycle(period)
-        return stream
-
-
 class ColouringGenerator(SequenceGenerator):
     """Letter-wise recolouring of a base sequence.
 
@@ -243,18 +277,44 @@ class ColouringGenerator(SequenceGenerator):
     and `exponents.split_letter` are this one operation with different
     periods. periods(c) is called once per distinct letter, when c first
     appears; an empty period is a ValueError.
+
+    Extension recolours the base's new codes in bulk, _CHUNK letters at a
+    time: one stable sort groups the occurrences of each base letter in
+    order, and each group receives its period tiled from that letter's count
+    so far.
     """
 
     def __init__(self, base: SequenceGenerator, periods: Callable[[str], Sequence[str]]) -> None:
         super().__init__()
         self.base = base
-        self._streams = _Streams(periods)
+        self._periods = periods
+        self._streams: dict[int, tuple[np.ndarray, int]] = {}  # base code -> (period, count)
 
     def _extend(self, n: int) -> None:
-        # read the base's buffer in place; letters(n) would copy its prefix
         self.base._ensure(n)
-        segment = self.base._buf[len(self._buf):n]
-        self._buf.extend(map(next, map(self._streams.__getitem__, segment)))
+        for start in range(self._filled, n, _CHUNK):
+            self._recolour(start, min(n, start + _CHUNK))
+
+    def _recolour(self, start: int, stop: int) -> None:
+        segment = self.base._codes[start:stop]
+        order = np.argsort(segment, kind="stable")  # a radix sort on uint8 and uint16
+        grouped = segment[order]
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        firsts = [0, *cuts]
+        groups = list(zip(grouped[firsts].tolist(), firsts, [*cuts, len(segment)]))
+        # a letter new to the base first appears at order[first] of its group
+        for _, b in sorted((order[first], b) for b, first, _ in groups if b not in self._streams):
+            letter = self.base._letter_table()[b]
+            period = tuple(self._periods(letter))
+            if not period:
+                raise ValueError(f"empty period for letter {letter!r}")
+            self._streams[b] = (self._codes_of(period), 0)
+        out = self._reserve(stop)[start:stop]
+        for b, first, end in groups:
+            period, count = self._streams[b]
+            out[order[first:end]] = _cycle(period, count, end - first)
+            self._streams[b] = (period, count + end - first)
+        self._filled = stop
 
 
 def fibonacci_sequence() -> SequenceGenerator:

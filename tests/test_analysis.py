@@ -678,6 +678,28 @@ def test_block_pretest_rejects_only_periods_without_a_run(case):
     assert analysis._blocks_may_run(codes, p, need) or not has_run
 
 
+class CountingMask(np.ndarray):
+    """A bool mask that counts the ANDs taken on it and on its slices."""
+
+    ands = 0
+
+    def __and__(self, other):
+        CountingMask.ands += 1
+        return super().__and__(other)
+
+
+@pytest.mark.parametrize("need", [2, 7, 64])
+def test_has_run_takes_no_step_on_too_few_trues(need):
+    # True on every other entry, so no run of 2: need - 1 Trues end before the
+    # AND ladder, need Trues climb it to find no run
+    for trues in (need - 1, need):
+        eq = np.zeros(2 * need + 1, bool)
+        eq[: 2 * trues : 2] = True
+        CountingMask.ands = 0
+        assert not analysis._has_run(eq.view(CountingMask), need)
+        assert (CountingMask.ands == 0) == (trues < need)
+
+
 def test_sufficiently_coloured():
     assert not sufficiently_coloured(colouring(3).prefix(8), 4)
     assert sufficiently_coloured(colouring(3).prefix(19), 4)

@@ -1,5 +1,7 @@
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -142,8 +144,8 @@ def test_fibonacci_sequence_matches_phi_oracle(lengths):
     oracle = fibonacci_oracle(max(lengths))
     for k, n in enumerate(lengths):
         assert gen.letters(n) == oracle[:n]
-        # the buffer starts as "ab"
-        assert len(gen._buf) == max(2, *lengths[:k + 1])
+        # the codes start as "ab"
+        assert gen._filled == max(2, *lengths[:k + 1])
 
 
 def test_constant_gap_periods():
@@ -300,3 +302,57 @@ def test_colouring_generator_rejects_empty_period():
     gen = ColouringGenerator(fibonacci_sequence(), {"a": ("1",), "b": ()}.__getitem__)
     with pytest.raises(ValueError, match="empty period for letter 'b'"):
         gen.letters(10)
+
+
+@pytest.fixture(scope="module")
+def million_fibonacci():
+    return fibonacci_oracle(10**6)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("delta", [1, 4, 9])
+def test_colouring_matches_definition_at_a_million_letters(delta, million_fibonacci):
+    periods = {"a": stretched_gap_period(delta, False), "b": stretched_gap_period(delta, True)}
+    got = colouring(delta).letters(10**6)
+    assert got == recoloured(million_fibonacci, periods)
+    shared = {letter: letter for letter in COLOURED_LETTERS}
+    assert all(letter is shared[letter] for letter in got)
+    assert discolour(colouring(delta)).letters(10**6) == million_fibonacci
+
+
+@pytest.mark.oracle
+def test_colouring_generator_over_a_wide_base_matches_definition():
+    base = [f"x{i}" for i in range(5000)]
+    rng = random.Random(5000)
+    periods = {c: tuple(rng.choice(["a", "1", "2'", c]) for _ in range(rng.randint(1, 4)))
+               for c in base}
+    source = PeriodicGenerator(Word(base))
+    gen = ColouringGenerator(source, periods.__getitem__)
+    want = recoloured(base * 4, periods)
+    # steps that end inside a period of the base, so its letters straddle extensions
+    for n in (1, 4999, 5001, 12000, 3 * 5000 + 17):
+        assert gen.letters(n) == want[:n]
+    assert source._codes.dtype == np.uint16
+
+
+@pytest.mark.parametrize("make", [fibonacci_sequence, lambda: colouring(3)],
+                         ids=["fibonacci", "colouring"])
+def test_growth_in_small_steps_matches_one_shot_and_reallocates_rarely(make):
+    n = 2 * 10**4
+    rng = random.Random(n)
+    steps = list(range(1, 2001))
+    while steps[-1] < n:
+        steps.append(min(n, steps[-1] + rng.randint(1, 40)))
+    gen = make()
+    chain = [gen] + ([gen.base] if isinstance(gen, ColouringGenerator) else [])
+    buffers = [g._codes for g in chain]
+    reallocations = [0] * len(chain)
+    for m in steps:
+        assert len(gen.letters(m)) == m
+        for k, g in enumerate(chain):
+            if g._codes is not buffers[k]:
+                buffers[k] = g._codes
+                reallocations[k] += 1
+    assert gen.letters(n) == make().letters(n)
+    # doubling: about log2(n) reallocations, where one per step would be thousands
+    assert max(reallocations) <= n.bit_length() + 2
