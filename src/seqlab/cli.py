@@ -562,9 +562,12 @@ def main(argv: list[str] | None = None) -> int:
         text = _dumps(doc) + "\n"
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        command.error(f"--output: cannot write {args.output!r}: {exc.strerror or exc}")
     return code
 
 

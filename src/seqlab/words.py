@@ -1,4 +1,4 @@
-"""Finite words and lazily extended infinite sequences.
+"""Finite words and infinite sequences read by prefix.
 
 Letters are short string tokens. The binary alphabet is {"a", "b"}; the
 coloured alphabet is COLOURED_LETTERS, built once, from each letter to its
@@ -132,70 +132,43 @@ class Word:
 _CHUNK = 1 << 16
 
 
+def _coded(words: Iterable[Sequence[str]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Code the letters of `words` by first appearance: the object array of
+    the distinct letters, each as first met, and each word as its codes."""
+    index: dict[str, int] = {}
+    coded = [[index.setdefault(letter, len(index)) for letter in word] for word in words]
+    dtype = np.min_scalar_type(max(len(index) - 1, 0))
+    return np.array(list(index), object), [np.array(codes, dtype) for codes in coded]
+
+
 class SequenceGenerator:
-    """Lazy prefix provider for an infinite sequence.
+    """An infinite sequence, read as any prefix of it.
 
-    The prefix is held as codes: `_codes[:_filled]` is an unsigned integer
-    array in which code k stands for the k-th letter of `_index`, which maps
-    each distinct letter to its code. A letter gets its code from `_codes_of`
-    when first met, and is handed out as the object it was first met as.
-    Prefixes are memoized, so prefix(m) is always a prefix of prefix(n) for
-    m <= n and repeated calls return identical content.
+    Each prefix is computed from its length alone: a generator holds its
+    letters and rules, never a prefix, so a call costs the same whatever was
+    asked before and prefix(m) is a prefix of prefix(n) for m <= n. A
+    generator does not change after its first call.
 
-    A subclass implements `_extend(n)`, called with n > `_filled`: it codes
-    every new letter with `_codes_of`, then takes the buffer from `_reserve(n)`
-    (reallocated, at least doubled, only when too short or too narrow for the
-    codes), writes codes `_filled .. n - 1` into it and sets `_filled` to at
-    least n. A generator built on another calls that one's `_ensure(n)` and
-    reads its `_codes` in place. Extension is single-writer (not
-    thread-safe). letters(n) returns a fresh list of the shared letter
+    A subclass sets `_table`, the object array of its distinct letters, and
+    implements `_codes(n)`: the first n letters as an unsigned integer array
+    in which code k stands for `_table[k]`. `_table` may be set by the first
+    `_codes` call. letters(n) returns a fresh list of the shared letter
     objects, safe to keep and to change.
     """
 
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self._table = np.empty(0, object)  # the letters of _index, for take
-        self._codes = np.empty(0, np.uint8)
-        self._filled = 0
-
-    def _extend(self, n: int) -> None:
+    def _codes(self, n: int) -> np.ndarray:
         raise NotImplementedError
-
-    def _codes_of(self, letters: Iterable[str]) -> np.ndarray:
-        index = self._index
-        codes = [index.setdefault(letter, len(index)) for letter in letters]
-        return np.array(codes, np.min_scalar_type(max(codes)))
-
-    def _letter_table(self) -> np.ndarray:
-        if len(self._table) < len(self._index):
-            self._table = np.empty(len(self._index), object)
-            self._table[:] = list(self._index)
-        return self._table
-
-    def _reserve(self, n: int) -> np.ndarray:
-        codes = self._codes
-        dtype = np.promote_types(codes.dtype, np.min_scalar_type(max(len(self._index) - 1, 0)))
-        if len(codes) < n or dtype != codes.dtype:
-            grown = np.empty(max(n, 2 * len(codes)), dtype)
-            grown[: self._filled] = codes[: self._filled]
-            self._codes = codes = grown
-        return codes
-
-    def _ensure(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"prefix length must be >= 0, got {n}")
-        if self._filled < n:
-            self._extend(n)
 
     def prefix(self, n: int) -> Word:
         return Word(self.letters(n))
 
     def letters(self, n: int) -> list[str]:
-        self._ensure(n)
-        table = self._letter_table()
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
+        codes = self._codes(n)
         letters: list[str] = []
         for i in range(0, n, _CHUNK):
-            letters += table.take(self._codes[i : min(n, i + _CHUNK)]).tolist()
+            letters += self._table.take(codes[i : i + _CHUNK]).tolist()
         return letters
 
 
@@ -210,43 +183,35 @@ class _FibonacciGenerator(SequenceGenerator):
 
     The prefix f_k has F_{k+2} letters and f_{k+1} = f_k f_{k-1}, with
     f_{k-1} a prefix of f_k: for consecutive Fibonacci numbers
-    F_j <= i < F_{j+1}, letter i of f is letter i - F_j. The buffer keeps
-    the pair (F_j, F_{j+1}) that brackets its length.
+    F_j <= i < F_{j+1}, letter i of f is letter i - F_j.
     """
 
     def __init__(self) -> None:
-        super().__init__()
-        self._codes = self._codes_of("ab")
-        self._filled = 2
-        self._pair = (2, 3)
+        self._table = np.array(["a", "b"], object)
 
-    def _extend(self, n: int) -> None:
-        codes = self._reserve(n)
-        while self._filled < n:
-            low, high = self._pair
-            stop = min(n, high)
-            # the copy ends at F_{j+1} - F_j <= F_j <= _filled, so it reads
-            # only codes already filled and never the ones it writes
-            codes[self._filled : stop] = codes[self._filled - low : stop - low]
-            self._filled = stop
-            if stop == high:
-                self._pair = (high, low + high)
+    def _codes(self, n: int) -> np.ndarray:
+        codes = np.empty(max(n, 2), np.uint8)
+        codes[:2] = 0, 1
+        low, high = 1, 2  # consecutive Fibonacci numbers; codes[:high] are filled
+        while high < n:
+            stop = min(n, low + high)
+            # stop - high <= low <= high: the copy reads only filled codes
+            codes[high:stop] = codes[: stop - high]
+            low, high = high, low + high
+        return codes[:n]
 
 
 class PeriodicGenerator(SequenceGenerator):
     """Purely periodic sequence: its period tiled."""
 
     def __init__(self, period: Word) -> None:
-        super().__init__()
         if len(period) == 0:
             raise ValueError("period must be nonempty")
         self.period = period
-        self._period = self._codes_of(period)
+        self._table, (self._period,) = _coded([period])
 
-    def _extend(self, n: int) -> None:
-        codes = self._reserve(n)
-        codes[self._filled : n] = _cycle(self._period, self._filled, n - self._filled)
-        self._filled = n
+    def _codes(self, n: int) -> np.ndarray:
+        return _cycle(self._period, 0, n)
 
 
 def _gap_period(delta: int, hatted: bool) -> tuple[str, ...]:
@@ -275,46 +240,46 @@ class ColouringGenerator(SequenceGenerator):
     periods(c)[k mod len(periods(c))]: each letter of the base is overwritten
     by the next letter of its own periodic stream. `colouring`, `discolour`
     and `exponents.split_letter` are this one operation with different
-    periods. periods(c) is called once per distinct letter, when c first
-    appears; an empty period is a ValueError.
+    periods. The first call asks periods(c) once per letter c of the base's
+    table, in table order, and keeps the answers; an empty period is a
+    ValueError from that call, even for a letter the prefix does not reach.
 
-    Extension recolours the base's new codes in bulk, _CHUNK letters at a
-    time: one stable sort groups the occurrences of each base letter in
-    order, and each group receives its period tiled from that letter's count
-    so far.
+    A call recolours the base's codes _CHUNK letters at a time: one stable
+    sort groups the occurrences of each base letter in order, and each group
+    receives its period tiled from that letter's count so far in the call.
     """
 
     def __init__(self, base: SequenceGenerator, periods: Callable[[str], Sequence[str]]) -> None:
-        super().__init__()
         self.base = base
         self._periods = periods
-        self._streams: dict[int, tuple[np.ndarray, int]] = {}  # base code -> (period, count)
+        self._recode: list[np.ndarray] | None = None  # base code -> its period's codes
 
-    def _extend(self, n: int) -> None:
-        self.base._ensure(n)
-        for start in range(self._filled, n, _CHUNK):
-            self._recolour(start, min(n, start + _CHUNK))
+    def _resolve(self) -> list[np.ndarray]:
+        if self._recode is None:
+            periods = []
+            for letter in self.base._table.tolist():
+                periods.append(tuple(self._periods(letter)))
+                if not periods[-1]:
+                    raise ValueError(f"empty period for letter {letter!r}")
+            self._table, self._recode = _coded(periods)
+        return self._recode
 
-    def _recolour(self, start: int, stop: int) -> None:
-        segment = self.base._codes[start:stop]
-        order = np.argsort(segment, kind="stable")  # a radix sort on uint8 and uint16
-        grouped = segment[order]
-        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        firsts = [0, *cuts]
-        groups = list(zip(grouped[firsts].tolist(), firsts, [*cuts, len(segment)]))
-        # a letter new to the base first appears at order[first] of its group
-        for _, b in sorted((order[first], b) for b, first, _ in groups if b not in self._streams):
-            letter = self.base._letter_table()[b]
-            period = tuple(self._periods(letter))
-            if not period:
-                raise ValueError(f"empty period for letter {letter!r}")
-            self._streams[b] = (self._codes_of(period), 0)
-        out = self._reserve(stop)[start:stop]
-        for b, first, end in groups:
-            period, count = self._streams[b]
-            out[order[first:end]] = _cycle(period, count, end - first)
-            self._streams[b] = (period, count + end - first)
-        self._filled = stop
+    def _codes(self, n: int) -> np.ndarray:
+        base = self.base._codes(n)  # sets the base's table
+        recode = self._resolve()
+        out = np.empty(n, recode[0].dtype)
+        counts = [0] * len(recode)
+        for start in range(0, n, _CHUNK):
+            segment = base[start : start + _CHUNK]
+            order = np.argsort(segment, kind="stable")  # a radix sort on uint8 and uint16
+            grouped = segment[order]
+            cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+            firsts = [0, *cuts]
+            piece = out[start : start + _CHUNK]
+            for b, first, end in zip(grouped[firsts].tolist(), firsts, [*cuts, len(segment)]):
+                piece[order[first:end]] = _cycle(recode[b], counts[b], end - first)
+                counts[b] += end - first
+        return out
 
 
 def fibonacci_sequence() -> SequenceGenerator:

@@ -513,6 +513,23 @@ def test_output_to_file(capsys, tmp_path):
     assert target.read_text() == "abaab\n"
 
 
+@pytest.mark.parametrize("where, reason", [
+    (lambda tmp: tmp / "missing" / "t.txt", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_output_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, where, reason):
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table", "--output", str(where(tmp_path))])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--output" in errors[0] and reason in errors[0]
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--word", "abcab", "--min-period", "3", "--max-period", "2"],
      "--min-period 3 is above --max-period 2"),

@@ -139,13 +139,11 @@ def test_fibonacci_prefix_consistency():
 @example([600, 89, 13, 5, 4, 3, 2, 1, 0])
 @example([4180, 4181, 4182, 6765])  # on and next to F_19 = 4181
 def test_fibonacci_sequence_matches_phi_oracle(lengths):
-    """One generator grown in any order matches phi^k("a") and never overshoots."""
+    """One generator asked in any order matches phi^k("a")."""
     gen = fibonacci_sequence()
     oracle = fibonacci_oracle(max(lengths))
-    for k, n in enumerate(lengths):
+    for n in lengths:
         assert gen.letters(n) == oracle[:n]
-        # the codes start as "ab"
-        assert gen._filled == max(2, *lengths[:k + 1])
 
 
 def test_constant_gap_periods():
@@ -329,30 +327,31 @@ def test_colouring_generator_over_a_wide_base_matches_definition():
     source = PeriodicGenerator(Word(base))
     gen = ColouringGenerator(source, periods.__getitem__)
     want = recoloured(base * 4, periods)
-    # steps that end inside a period of the base, so its letters straddle extensions
+    # steps that end inside a period of the base
     for n in (1, 4999, 5001, 12000, 3 * 5000 + 17):
         assert gen.letters(n) == want[:n]
-    assert source._codes.dtype == np.uint16
+    assert source._codes(n).dtype == np.uint16
 
 
 @pytest.mark.parametrize("make", [fibonacci_sequence, lambda: colouring(3)],
                          ids=["fibonacci", "colouring"])
-def test_growth_in_small_steps_matches_one_shot_and_reallocates_rarely(make):
+def test_growth_in_small_steps_matches_one_shot(make):
     n = 2 * 10**4
     rng = random.Random(n)
     steps = list(range(1, 2001))
     while steps[-1] < n:
         steps.append(min(n, steps[-1] + rng.randint(1, 40)))
     gen = make()
-    chain = [gen] + ([gen.base] if isinstance(gen, ColouringGenerator) else [])
-    buffers = [g._codes for g in chain]
-    reallocations = [0] * len(chain)
     for m in steps:
         assert len(gen.letters(m)) == m
-        for k, g in enumerate(chain):
-            if g._codes is not buffers[k]:
-                buffers[k] = g._codes
-                reallocations[k] += 1
     assert gen.letters(n) == make().letters(n)
-    # doubling: about log2(n) reallocations, where one per step would be thousands
-    assert max(reallocations) <= n.bit_length() + 2
+
+
+def test_a_generator_keeps_no_prefix():
+    gen = discolour(colouring(3))
+    assert len(gen.letters(10**5)) == 10**5
+    chain = [gen, gen.base, gen.base.base]
+    held = [len(value) for g in chain for value in vars(g).values() if isinstance(value, np.ndarray)]
+    held += [len(codes) for g in chain for codes in getattr(g, "_recode", None) or ()]
+    # at most the 6 letters of v_3's alphabet or its period of 4, never a prefix
+    assert held and max(held) <= 6
