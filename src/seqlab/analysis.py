@@ -12,12 +12,12 @@ The per-factor queries (`occurrences`, `return_words`, `derived_sequence`)
 reuse the Text of the last snapshot they encoded while the same letters come
 back, and hold only that one, with every doubling level (below) it has built,
 as a prebuilt Text keeps them. A list with no horizon is matched by one list
-comparison with a copy of the list that built or last matched the held Text,
-so a hit copies nothing; any other source is cut to a tuple and compared
-with the held letters. The scans (`max_fractional_power`, `is_balanced`,
-`bispecial_factors`) build a fresh Text per call and neither read nor
-replace it, so a long scanned snapshot is freed on return. Pass a prebuilt
-Text to share one encoding everywhere.
+comparison with the memo's own copy of the list that built or last matched
+the held Text, so a hit copies nothing; any other source is cut to a tuple
+and compared with the held letters. The scans (`max_fractional_power`,
+`is_balanced`, `bispecial_factors`) build a fresh Text per call and neither
+read nor replace it, so a long scanned snapshot is freed on return. Pass a
+prebuilt Text to share one encoding everywhere.
 
 A Text codes each letter by its rank of first appearance, in one pass, both
 as a str for C-speed substring search and as a read-only numpy array; its
@@ -78,10 +78,9 @@ class Text:
     array of the smallest unsigned dtype that holds every rank) and `string`
     the same ranks as a str of chr(rank), for str.find. Constructing a Text
     from a Text returns it unchanged; it is already cut, so a horizon is refused.
-    `_as_list` is None, except on the query memo's Text (`_query_snapshot`).
     """
 
-    __slots__ = ("letters", "alphabet", "codes", "string", "_rank", "_levels", "_as_list")
+    __slots__ = ("letters", "alphabet", "codes", "string", "_rank", "_levels")
 
     def __new__(cls, source: Source, horizon: int | None = None) -> Text:
         if isinstance(source, Text):
@@ -98,7 +97,6 @@ class Text:
         self.codes = wide.astype(np.min_scalar_type(max(len(ranks) - 1, 0)))
         self.codes.flags.writeable = False
         self._levels: list[np.ndarray] = []
-        self._as_list: list[str] | None = None
         return self
 
     def __len__(self) -> int:
@@ -200,8 +198,10 @@ def _cut(source: Source, horizon: int | None) -> tuple[str, ...]:
     return tuple(source if horizon is None else islice(source, horizon))
 
 
-# the Text of the last snapshot a per-factor query encoded
+# the Text of the last snapshot a per-factor query encoded and, when a list
+# built or last matched it, a copy of that list; set and cleared together
 _query_text: Text | None = None
+_query_list: list[str] | None = None
 
 
 def _query_snapshot(source: Source, horizon: int | None) -> Text:
@@ -210,31 +210,29 @@ def _query_snapshot(source: Source, horizon: int | None) -> Text:
     Callers ask about many factors of one snapshot; comparing its letters with
     the last ones encoded is a C-level comparison, several times cheaper than
     ranking them again. A list with no horizon is compared, as it is, with
-    `_as_list`, a copy of the list that built or last matched the held Text:
-    items that are the held objects (as every generator's letters are) pass by
-    identity, and a hit copies nothing. Any other source, or a list that
-    differs from that copy, is cut to a tuple and compared with the held
-    letters, so a list changed in place is told apart like any other. The copy
-    holds one more reference per letter, and only after a list source. The old
-    Text is dropped before a new one is built, so at most one is held, with
-    every doubling level its queries have built. The scans build their own
-    Text and leave this one alone, so a long scanned snapshot is freed when
-    its scan returns.
+    `_query_list`: items that are the held objects (as every generator's
+    letters are) pass by identity, and a hit copies nothing. Any other source,
+    or a list that differs from that copy, is cut to a tuple and compared with
+    the held letters, so a list changed in place is told apart like any other.
+    The copy holds one more reference per letter, and only after a list
+    source. The old Text is dropped before a new one is built, so at most one
+    is held, with every doubling level its queries have built. The scans build
+    their own Text and leave this one alone, so a long scanned snapshot is
+    freed when its scan returns.
     """
-    global _query_text
+    global _query_text, _query_list
     if isinstance(source, Text):
         return Text(source, horizon)
-    text = _query_text
     listed = horizon is None and type(source) is list
-    if listed and text is not None and source == text._as_list:
-        return text
+    if listed and source == _query_list:
+        return _query_text
     letters = _cut(source, horizon)
-    if text is None or text.letters != letters:
-        _query_text = text = None  # free the old snapshot before building the new one
-        _query_text = text = Text(letters)
+    if _query_text is None or _query_text.letters != letters:
+        _query_text = _query_list = None  # free the old snapshot before building the new one
+        _query_text = Text(letters)
     if listed:
-        text._as_list = list(letters)
-    return text
+        _query_list = list(letters)
+    return _query_text
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,8 @@ def shortest_return_lower_bound(index: int, delta: int) -> int:
 def repetitive_threshold_bound(d: int) -> GoldenNumber:
     """Coarse bound 1 + tau^3 / 2^(d-2) for balanced sequences over d letters
     (d even, at most 18, where the colouring bound it is compared with is defined).
+    It implies the paper's 1 + tau^3 / 2^(d-3) for every d >= 2: for odd d,
+    `split_letter` on the (d-1)-letter colouring does not raise the exponent.
     """
     if d < 2 or d % 2 != 0:
         raise ValueError(f"d must be an even integer >= 2, got {d}")
@@ -184,9 +186,6 @@ def repetitive_threshold_bound(d: int) -> GoldenNumber:
     return ONE + tau_pow(3) * Fraction(1, 2 ** (d - 2))
 
 
-# the split target must occur this early in the base, and the fresh letters
-# must not
-SPLIT_PROBE = 4096
 SPLIT_LETTERS = ("A", "B")
 
 
@@ -195,14 +194,17 @@ def split_letter(base: SequenceGenerator, target: str) -> ColouringGenerator:
     letter-wise with period ("A", "B") for `target` and (c,) for every other
     letter c. Takes a d-letter balanced sequence to a (d+1)-letter balanced
     one without raising the asymptotic critical exponent.
+
+    The base's letter table, every letter it can emit, decides exactly: the
+    split is refused when `target` is not in it, or when "A" or "B" is, since
+    the split would then merge `target` into a letter already there.
     """
-    seen = set(base.letters(SPLIT_PROBE))
-    if target not in seen:
-        raise ValueError(f"letter {target!r} does not occur in the first {SPLIT_PROBE} letters")
+    letters = set(base._table.tolist())
+    if target not in letters:
+        raise ValueError(f"letter {target!r} is not a letter of the base")
     for fresh in SPLIT_LETTERS:
-        if fresh in seen:
-            # the split would merge `target` into a letter already there
-            raise ValueError(f"letter {fresh!r} already occurs in the first {SPLIT_PROBE} letters")
+        if fresh in letters:
+            raise ValueError(f"letter {fresh!r} is already a letter of the base")
     return ColouringGenerator(base, lambda c: SPLIT_LETTERS if c == target else (c,))
 
 

@@ -147,12 +147,12 @@ class SequenceGenerator:
     Each prefix is computed from its length alone: a generator holds its
     letters and rules, never a prefix, so a call costs the same whatever was
     asked before and prefix(m) is a prefix of prefix(n) for m <= n. A
-    generator does not change after its first call.
+    generator does not change once built.
 
-    A subclass sets `_table`, the object array of its distinct letters, and
-    implements `_codes(n)`: the first n letters as an unsigned integer array
-    in which code k stands for `_table[k]`. `_table` may be set by the first
-    `_codes` call. letters(n) returns a fresh list of the shared letter
+    A subclass sets `_table` in its constructor, the object array of every
+    letter it can emit, each once, and implements `_codes(n)`: the first n
+    letters as an unsigned integer array in which code k stands for
+    `_table[k]`. letters(n) returns a fresh list of the shared letter
     objects, safe to keep and to change.
     """
 
@@ -240,9 +240,9 @@ class ColouringGenerator(SequenceGenerator):
     periods(c)[k mod len(periods(c))]: each letter of the base is overwritten
     by the next letter of its own periodic stream. `colouring`, `discolour`
     and `exponents.split_letter` are this one operation with different
-    periods. The first call asks periods(c) once per letter c of the base's
-    table, in table order, and keeps the answers; an empty period is a
-    ValueError from that call, even for a letter the prefix does not reach.
+    periods. The constructor asks periods(c) once per letter c of the base's
+    table, in table order, and keeps only the coded answers; an empty period
+    is a ValueError there, whatever prefixes are asked for later.
 
     A call recolours the base's codes _CHUNK letters at a time: one stable
     sort groups the occurrences of each base letter in order, and each group
@@ -251,22 +251,16 @@ class ColouringGenerator(SequenceGenerator):
 
     def __init__(self, base: SequenceGenerator, periods: Callable[[str], Sequence[str]]) -> None:
         self.base = base
-        self._periods = periods
-        self._recode: list[np.ndarray] | None = None  # base code -> its period's codes
-
-    def _resolve(self) -> list[np.ndarray]:
-        if self._recode is None:
-            periods = []
-            for letter in self.base._table.tolist():
-                periods.append(tuple(self._periods(letter)))
-                if not periods[-1]:
-                    raise ValueError(f"empty period for letter {letter!r}")
-            self._table, self._recode = _coded(periods)
-        return self._recode
+        coloured = []
+        for letter in base._table.tolist():
+            coloured.append(tuple(periods(letter)))
+            if not coloured[-1]:
+                raise ValueError(f"empty period for letter {letter!r}")
+        # base code -> its period's codes
+        self._table, self._recode = _coded(coloured)
 
     def _codes(self, n: int) -> np.ndarray:
-        base = self.base._codes(n)  # sets the base's table
-        recode = self._resolve()
+        base, recode = self.base._codes(n), self._recode
         out = np.empty(n, recode[0].dtype)
         counts = [0] * len(recode)
         for start in range(0, n, _CHUNK):

@@ -789,6 +789,12 @@ def query_outcomes(factor, source, horizon=None):
     return [outcome(lambda q=q: q(factor, source, horizon)) for q in QUERIES]
 
 
+def clear_query_memo(monkeypatch):
+    """Empty the query memo for one test; both of its globals are restored together."""
+    monkeypatch.setattr(analysis, "_query_text", None)
+    monkeypatch.setattr(analysis, "_query_list", None)
+
+
 @pytest.mark.oracle
 @given(
     letters=st.lists(st.sampled_from("abc"), max_size=60),
@@ -838,7 +844,7 @@ def test_scans_neither_read_nor_replace_the_query_snapshot(monkeypatch):
             super().__init__()
 
     monkeypatch.setattr(analysis, "_Ranks", CountedRanks)
-    monkeypatch.setattr(analysis, "_query_text", None)
+    clear_query_memo(monkeypatch)
     snapshot = fibonacci_sequence().letters(3000)
     factor = Word.from_text("abaab")
     first = return_words(factor, snapshot)
@@ -859,7 +865,7 @@ def test_query_memo_keeps_every_level_it_builds(monkeypatch):
     rounds = []
     double = analysis._double
     monkeypatch.setattr(analysis, "_double", lambda *args: rounds.append(1) or double(*args))
-    monkeypatch.setattr(analysis, "_query_text", None)
+    clear_query_memo(monkeypatch)
     letters = WIDE * 20
     factor = Word(WIDE[:3])  # gaps of 300 letters read the level-8 names
     full = Text(letters)
@@ -902,7 +908,7 @@ def test_an_equal_list_is_recognised_without_a_copy(monkeypatch):
     monkeypatch.setattr(analysis, "_Ranks", CountedRanks)
     monkeypatch.setattr(analysis, "_cut", counted("cut", analysis._cut))
     monkeypatch.setattr(analysis, "_double", counted("round", analysis._double))
-    monkeypatch.setattr(analysis, "_query_text", None)
+    clear_query_memo(monkeypatch)
     letters = colouring(3).letters(3000)
     factor = Word(letters[:5])
     want = query_outcomes(factor, letters)
@@ -926,6 +932,30 @@ def test_an_equal_list_is_recognised_without_a_copy(monkeypatch):
     made.update(Text=0)
     assert query_outcomes(factor, letters) == query_outcomes(factor, Text(list(letters)))
     assert made["Text"] == 2 and analysis._query_text.letters == tuple(letters)
+
+
+def test_query_list_copy_never_outlives_its_text(monkeypatch):
+    built = []
+
+    class CountedRanks(analysis._Ranks):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(analysis, "_Ranks", CountedRanks)
+    letters = colouring(2).letters(400)
+    factor = Word(letters[:4])
+    want = query_outcomes(factor, Text(list(letters)))
+    # a tuple and a generator over other letters, each holding the factor
+    for other, horizon in ((tuple(letters[7:] + letters[:7]), None), (colouring(2), 500)):
+        other_want = query_outcomes(factor, Text(other, horizon))
+        assert query_outcomes(factor, letters) == want
+        built.clear()
+        assert query_outcomes(factor, other, horizon) == other_want
+        assert len(built) == 1
+        # the list again: the copy of it went with the Text it matched
+        assert query_outcomes(factor, letters) == want
+        assert len(built) == 2 and analysis._query_text.letters == tuple(letters)
 
 
 def argsort_round(names, width, top):

@@ -20,7 +20,7 @@ from seqlab.exponents import (
     threshold_table,
 )
 from seqlab.golden import ONE, TAU, GoldenNumber, fib, sqrt5_sign, tau_pow
-from seqlab.words import colouring
+from seqlab.words import PeriodicGenerator, Word, colouring
 
 
 def test_closed_form_estimate_increases_below_two_plus_tau():
@@ -301,8 +301,25 @@ def test_split_letter_unknown_target():
 def test_split_letter_refuses_fresh_letters_already_present():
     # a second split would reuse A and B and merge the two split letters
     once = split_letter(colouring(2), "2")
-    with pytest.raises(ValueError, match="letter 'A' already occurs in the first 4096 letters"):
+    with pytest.raises(ValueError, match="letter 'A' is already a letter of the base"):
         split_letter(once, "1")
+
+
+def test_split_letter_refuses_a_fresh_letter_anywhere_in_the_base():
+    # A first occurs at position 4500; splitting x0 into A and B would merge it
+    names = [f"x{i}" for i in range(5000)]
+    base = PeriodicGenerator(Word(names[:4500] + ["A"] + names[4500:]))
+    with pytest.raises(ValueError, match="letter 'A'"):
+        split_letter(base, "x0")
+
+
+def test_split_letter_accepts_a_target_anywhere_in_the_base():
+    base = PeriodicGenerator(Word(f"x{i}" for i in range(5000)))
+    split = split_letter(base, "x4200")
+    snapshot = split.letters(10002)
+    assert [snapshot[4200], snapshot[9200]] == ["A", "B"]
+    restored = ["x4200" if t in ("A", "B") else t for t in snapshot]
+    assert restored == base.letters(10002)
 
 
 def test_empirical_estimate_quick():

@@ -20,6 +20,8 @@ from seqlab.words import (
     letter_to_json,
 )
 
+from seqlab.exponents import split_letter
+
 from fibonacci_oracle import fibonacci_oracle
 
 letters = st.sampled_from(["a", "b", "1", "2'", "3"])
@@ -297,9 +299,37 @@ def test_colouring_matches_definition(delta):
 
 
 def test_colouring_generator_rejects_empty_period():
-    gen = ColouringGenerator(fibonacci_sequence(), {"a": ("1",), "b": ()}.__getitem__)
     with pytest.raises(ValueError, match="empty period for letter 'b'"):
-        gen.letters(10)
+        ColouringGenerator(fibonacci_sequence(), {"a": ("1",), "b": ()}.__getitem__)
+
+
+def assert_table_is_the_alphabet(gen):
+    table = gen._table.tolist()  # read before any letters() call
+    assert len(table) == len(set(table))
+    assert set(table) == set(gen.letters(10**4))
+
+
+# every kind of generator the package builds, each before any letters() call
+TABLE_CASES = {
+    "fibonacci": fibonacci_sequence,
+    **{f"colouring-{d}": lambda d=d: colouring(d) for d in range(1, 10)},
+    **{f"gap-{d}-{h}": lambda d=d, h=h: constant_gap(d, h) for d in range(1, 10) for h in (0, 1)},
+    **{f"discolour-{d}": lambda d=d: discolour(colouring(d)) for d in range(1, 10)},
+    "split": lambda: split_letter(colouring(2), "2"),
+}
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_letter_table_is_fixed_at_construction(case):
+    assert_table_is_the_alphabet(TABLE_CASES[case]())
+
+
+@pytest.mark.oracle
+@given(period=st.lists(letters, min_size=1, max_size=40))
+@settings(max_examples=60)
+def test_periodic_letter_table_is_fixed_at_construction(period):
+    assert_table_is_the_alphabet(PeriodicGenerator(Word(period)))
 
 
 @pytest.fixture(scope="module")
