@@ -23,8 +23,8 @@ A Text codes each letter by its rank of first appearance, in one pass, both
 as a str for C-speed substring search and as a read-only numpy array; its
 letters are a tuple, so a factor or return word is one slice of it. Exponents
 and counts are exact (ints and Fractions); numpy holds the letter codes,
-boolean mismatch masks, int32 doubling names and LCPs, and prefix sums modulo
-the narrowest unsigned type that holds every window count.
+boolean mismatch masks, int32 doubling names and LCPs, occurrence gaps, and
+prefix sums modulo the narrowest unsigned type that holds every window count.
 
 A Text also keeps the doubling names of Karp, Miller and Rosenberg (1972),
 built level by level on first use: two positions share a level-k name exactly
@@ -93,8 +93,11 @@ class Text:
         self._rank = ranks = _Ranks()
         self.string = "".join(map(ranks.__getitem__, letters))
         self.alphabet = tuple(ranks)
-        wide = np.frombuffer(self.string.encode("utf-32-le", "surrogatepass"), "<u4")
-        self.codes = wide.astype(np.min_scalar_type(max(len(ranks) - 1, 0)))
+        if len(ranks) <= 256:  # every chr(rank) is one latin-1 byte
+            self.codes = np.frombuffer(self.string.encode("latin-1"), np.uint8)
+        else:
+            wide = np.frombuffer(self.string.encode("utf-32-le", "surrogatepass"), "<u4")
+            self.codes = wide.astype(np.min_scalar_type(len(ranks) - 1))
         self.codes.flags.writeable = False
         self._levels: list[np.ndarray] = []
         return self
@@ -507,9 +510,23 @@ def is_balanced(
 
     For every window length L <= max_window and every letter, the counts of
     that letter over all length-L windows of the snapshot may spread by at
-    most 1. On failure the witness names the window length, the letter and
-    two window positions realising the spread. max_window is clipped to the
-    snapshot length and must be at least 1.
+    most 1. On failure the witness names the least failing window length,
+    the smallest letter (in token order) that fails there, and two window
+    positions realising the spread. max_window is clipped to the snapshot
+    length and must be at least 1.
+
+    The windows are never slid. A letter with positions p_0 < ... < p_{m-1}
+    in a snapshot of n letters has the gaps e_h = q[h:] - q[:-h] of
+    q = (-1, p_0, ..., p_{m-1}, n). A window holds h + 1 of its occurrences
+    exactly when its length is at least short_h = min(e_h[1:-1]) + 1 (the
+    least span of h + 1 occurrences), and at most h - 1 exactly when its
+    length is at most long_h = max(e_h) - 1 (the longest stretch between h
+    steps, the snapshot's ends counted as occurrences). So a length L fails
+    exactly when short_h <= L <= long_h for some h in 1..m-1. short_h grows
+    strictly with h, so the letter first fails at short_h for the least h
+    with short_h <= long_h, and the walk over h stops once short_h passes
+    the longest length still worth checking. The witness's counts are then
+    read off one prefix sum, of its letter, at its window length.
     """
     if max_window < 1:
         raise ValueError(f"max_window must be >= 1, got {max_window}")
@@ -518,35 +535,48 @@ def is_balanced(
     if n == 0:
         raise ValueError("empty snapshot")
     max_window = min(max_window, n)
-    # a window holds at most max_window letters, so prefix sums modulo the width
-    # of the narrowest type that holds max_window give exact counts on subtraction
-    dtype = np.min_scalar_type(max_window)
-    # letters in sorted token order, so the witness does not depend on the coding
-    prefix_sums = []
-    for k, tok in sorted(enumerate(text.alphabet), key=lambda item: item[1]):
-        sums = np.zeros(n + 1, dtype)
-        np.cumsum(text.codes == k, dtype=dtype, out=sums[1:])
-        prefix_sums.append((tok, sums))
-    for window in range(1, max_window + 1):
-        for tok, sums in prefix_sums:
-            counts = sums[window:] - sums[:-window]
-            low = int(counts.min())
-            high = int(counts.max())
-            if high - low > 1:
-                return BalanceReport(
-                    balanced=False,
-                    witness=BalanceWitness(
-                        window=window,
-                        letter=tok,
-                        low_position=int(np.argmin(counts)),
-                        low_count=low,
-                        high_position=int(np.argmax(counts)),
-                        high_count=high,
-                    ),
-                    horizon=n,
-                    max_window=max_window,
-                )
-    return BalanceReport(balanced=True, witness=None, horizon=n, max_window=max_window)
+    codes = text.codes
+    # one stable sort groups each letter's positions, in increasing order
+    grouped = np.argsort(codes, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(text.alphabet))).tolist()]
+    # the narrowest signed type that holds n + 1, the widest gap (it holds -(n + 2))
+    dtype = np.min_scalar_type(-(n + 2))
+    window, code = max_window + 1, None
+    # letters in sorted token order, so the witness does not depend on the coding;
+    # a later letter counts only if it fails at a strictly shorter window
+    for k in sorted(range(len(text.alphabet)), key=text.alphabet.__getitem__):
+        q = np.empty(bounds[k + 1] - bounds[k] + 2, dtype)
+        q[0], q[-1] = -1, n
+        q[1:-1] = grouped[bounds[k] : bounds[k + 1]]
+        buffer = np.empty_like(q)
+        for h in range(1, len(q) - 2):
+            gaps = np.subtract(q[h:], q[:-h], out=buffer[h:])
+            short = int(gaps[1:-1].min()) + 1
+            if short >= window:
+                break
+            if short <= int(gaps.max()) - 1:
+                window, code = short, k
+                break
+    if code is None:
+        return BalanceReport(balanced=True, witness=None, horizon=n, max_window=max_window)
+    # a window holds at most `window` letters, so prefix sums modulo the width of
+    # the narrowest type that holds it give exact counts on subtraction
+    sums = np.zeros(n + 1, np.min_scalar_type(window))
+    np.cumsum(codes == code, dtype=sums.dtype, out=sums[1:])
+    counts = sums[window:] - sums[:-window]
+    return BalanceReport(
+        balanced=False,
+        witness=BalanceWitness(
+            window=window,
+            letter=text.alphabet[code],
+            low_position=int(np.argmin(counts)),
+            low_count=int(counts.min()),
+            high_position=int(np.argmax(counts)),
+            high_count=int(counts.max()),
+        ),
+        horizon=n,
+        max_window=max_window,
+    )
 
 
 def derived_sequence(factor: Word, source: Source, horizon: int | None = None) -> Word:

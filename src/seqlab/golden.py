@@ -1,8 +1,10 @@
 """Exact arithmetic in Q(tau), the quadratic field of the golden mean.
 
-Numbers are stored as a + b*tau with rational coefficients, where tau is the
-positive root of x^2 = x + 1. All comparisons are exact: a sign is decided in
-integer arithmetic alone, never through floating point.
+A number a + b*tau with rational a, b, where tau is the positive root of
+x^2 = x + 1, is stored as one integer triple (p, q, d) with a = p/d, b = q/d,
+d > 0 and gcd(p, q, d) = 1, so the field operations are integer formulas and
+no Fraction is built on the way. All comparisons are exact: a sign is decided
+in integer arithmetic alone, never through floating point.
 """
 
 from __future__ import annotations
@@ -92,80 +94,97 @@ def surd_decimal(p: int, q: int, r: int, s: int, places: int = 6, *, upward: boo
 
 @total_ordering
 class GoldenNumber:
-    """Immutable element a + b*tau of Q(tau), coefficients exact Fractions."""
+    """Immutable element (p + q*tau) / d of Q(tau), held as one integer triple.
 
-    __slots__ = ("_a", "_b")
+    The triple has d > 0 and gcd(p, q, d) = 1. That form is unique, so == is
+    a comparison of triples, and each of +, -, * is one integer formula
+    reduced by one three-argument gcd. The coefficients a = p/d and b = q/d
+    of a + b*tau are read as Fractions.
+    """
+
+    __slots__ = ("_pqd",)
 
     def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
-        object.__setattr__(self, "_a", _as_fraction(a))
-        object.__setattr__(self, "_b", _as_fraction(b))
+        if isinstance(a, int) and isinstance(b, int):
+            pqd = (int(a), int(b), 1)
+        else:
+            a, b = _as_fraction(a), _as_fraction(b)
+            # no factor is common to all three: a prime's full power in the lcm
+            # divides one denominator, whose coprime numerator it then misses
+            d = math.lcm(a.denominator, b.denominator)
+            pqd = (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d)
+        object.__setattr__(self, "_pqd", pqd)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GoldenNumber is immutable")
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        p, _, d = self._pqd
+        return Fraction(p, d)
 
     @property
     def b(self) -> Fraction:
-        return self._b
-
-    @staticmethod
-    def _coerce(other: object) -> GoldenNumber | None:
-        if isinstance(other, GoldenNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GoldenNumber(other)
-        return None
+        _, q, d = self._pqd
+        return Fraction(q, d)
 
     def __add__(self, other: object) -> GoldenNumber:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(self._a + o._a, self._b + o._b)
+        (p, q, d), (r, s, e) = self._pqd, o
+        return _reduced(p * e + r * d, q * e + s * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> GoldenNumber:
-        return GoldenNumber(-self._a, -self._b)
+        p, q, d = self._pqd
+        return _held(-p, -q, d)
 
     def __sub__(self, other: object) -> GoldenNumber:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(self._a - o._a, self._b - o._b)
+        (p, q, d), (r, s, e) = self._pqd, o
+        return _reduced(p * e - r * d, q * e - s * d, d * e)
 
     def __rsub__(self, other: object) -> GoldenNumber:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return o - self
+        (p, q, d), (r, s, e) = self._pqd, o
+        return _reduced(r * d - p * e, s * d - q * e, d * e)
 
     def __mul__(self, other: object) -> GoldenNumber:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        # (a + b*tau)(c + d*tau) with tau^2 = tau + 1
-        a, b, c, d = self._a, self._b, o._a, o._b
-        return GoldenNumber(a * c + b * d, a * d + b * c + b * d)
+        # (p + q*tau)(r + s*tau) with tau^2 = tau + 1
+        (p, q, d), (r, s, e) = self._pqd, o
+        return _reduced(p * r + q * s, p * s + q * r + q * s, d * e)
 
     __rmul__ = __mul__
 
     @property
     def norm(self) -> Fraction:
         """Field norm (a + b*tau)(a + b - b*tau) = a^2 + a*b - b^2."""
-        return self._a * self._a + self._a * self._b - self._b * self._b
+        p, q, d = self._pqd
+        return Fraction(p * p + p * q - q * q, d * d)
 
     def conjugate(self) -> GoldenNumber:
         """Image under tau -> 1 - tau, the nontrivial field automorphism."""
-        return GoldenNumber(self._a + self._b, -self._b)
+        p, q, d = self._pqd
+        return _held(p + q, -q, d)  # gcd(p + q, q, d) = gcd(p, q, d) = 1
 
     def inverse(self) -> GoldenNumber:
-        n = self.norm
+        """d / (p + q*tau) = d*(p + q - q*tau) / N, with N = p^2 + pq - q^2."""
+        p, q, d = self._pqd
+        n = p * p + p * q - q * q
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(tau)")
-        return GoldenNumber((self._a + self._b) / n, -self._b / n)
+        if n < 0:
+            d, n = -d, -n
+        return _reduced(d * (p + q), -d * q, n)
 
     def __pow__(self, exponent: int) -> GoldenNumber:
         if not isinstance(exponent, int):
@@ -182,12 +201,9 @@ class GoldenNumber:
         return result
 
     def sign(self) -> int:
-        """Exact sign: a + b*tau = ((2a + b) + b*sqrt(5)) / 2, decided in
-        integers by scaling with both (positive) denominators.
-        """
-        a, b = self._a, self._b
-        return sqrt5_sign(2 * a.numerator * b.denominator + b.numerator * a.denominator,
-                          b.numerator * a.denominator)
+        """Exact sign: (p + q*tau) / d = ((2p + q) + q*sqrt(5)) / (2d), and d > 0."""
+        p, q, _ = self._pqd
+        return sqrt5_sign(2 * p + q, q)
 
     def __abs__(self) -> GoldenNumber:
         return -self if self.sign() < 0 else self
@@ -197,29 +213,33 @@ class GoldenNumber:
         return _floor_surd(*self.surd())[0]
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return self._a == o._a and self._b == o._b
+        return self._pqd == o
 
     def __lt__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return (o - self).sign() > 0
+        # the sign of other - self; its denominator d*e is positive
+        (p, q, d), (r, s, e) = self._pqd, o
+        t = s * d - q * e
+        return sqrt5_sign(2 * (r * d - p * e) + t, t) > 0
 
     def __hash__(self) -> int:
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b))
+        if self._pqd[1] == 0:
+            return hash(self.a)
+        return hash((self.a, self.b))
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        p, q, _ = self._pqd
+        return p != 0 or q != 0
 
     def surd(self) -> tuple[int, int, int, int]:
         """Integers (p, q, 5, s), s > 0, with self = (p + q*sqrt(5)) / s."""
-        den = math.lcm(self._a.denominator, self._b.denominator)
-        return int((2 * self._a + self._b) * den), int(self._b * den), 5, 2 * den
+        p, q, d = self._pqd
+        return 2 * p + q, q, 5, 2 * d
 
     def decimal(self, places: int = 6, *, upward: bool = False) -> str:
         """Rendering with `places` decimal places; see surd_decimal."""
@@ -227,24 +247,50 @@ class GoldenNumber:
 
     def to_json_dict(self) -> dict[str, int]:
         """Exact coefficients: a = a_num/a_den, b = b_num/b_den."""
+        a, b = self.a, self.b
         return {
-            "a_num": self._a.numerator,
-            "a_den": self._a.denominator,
-            "b_num": self._b.numerator,
-            "b_den": self._b.denominator,
+            "a_num": a.numerator,
+            "a_den": a.denominator,
+            "b_num": b.numerator,
+            "b_den": b.denominator,
         }
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        sign = "-" if self._b < 0 else "+"
-        mag = "tau" if abs(self._b) == 1 else f"{abs(self._b)}*tau"
-        if self._a == 0:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        sign = "-" if b < 0 else "+"
+        mag = "tau" if abs(b) == 1 else f"{abs(b)}*tau"
+        if a == 0:
             return mag if sign == "+" else f"-{mag}"
-        return f"{self._a} {sign} {mag}"
+        return f"{a} {sign} {mag}"
 
     def __repr__(self) -> str:
-        return f"GoldenNumber({self._a!r}, {self._b!r})"
+        return f"GoldenNumber({self.a!r}, {self.b!r})"
+
+
+def _held(p: int, q: int, d: int) -> GoldenNumber:
+    """The GoldenNumber of a triple already in reduced form."""
+    x = object.__new__(GoldenNumber)
+    object.__setattr__(x, "_pqd", (p, q, d))
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> GoldenNumber:
+    """The GoldenNumber (p + q*tau) / d for d > 0, reduced by gcd(p, q, d)."""
+    g = math.gcd(p, q, d)
+    return _held(p // g, q // g, d // g)
+
+
+def _triple(value: object) -> tuple[int, int, int] | None:
+    """The reduced triple of a GoldenNumber, int or Fraction; None for anything else."""
+    if isinstance(value, GoldenNumber):
+        return value._pqd
+    if isinstance(value, int):
+        return int(value), 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
 
 
 ZERO = GoldenNumber(0, 0)

@@ -415,6 +415,35 @@ def test_is_balanced_matches_int64_oracle(case):
     assert is_balanced(letters, max_window=max_window) == balance_oracle(letters, max_window)
 
 
+# (letters, max_window, None when balanced, else the witness's (window, letter, low, high))
+BALANCE_EXAMPLES = {
+    "unary": (["a"] * 50, 50, None),
+    "letters-once": (list("abcdefg"), 7, None),
+    "one-b-in-a-run": (["a"] * 10 + ["b"] + ["a"] * 10, 21, None),
+    "max-window-n": (fibonacci_sequence().letters(233), 233, None),
+    "max-window-past-n": (list("abaab"), 10, None),
+    # a b^3 a b^5: two a in 5 letters at 0, none in the b^5 from 5
+    "fails-at-max-window": (list("abbbabbbbb"), 5, (5, "a", 5, 0)),
+    "fails-past-max-window": (list("abbbabbbbb"), 4, None),
+    # only the window at 0 holds no a, and only the window at n - 3 does here
+    "fails-at-the-start": (list("bbbabab"), 7, (3, "a", 0, 3)),
+    "fails-at-the-end": (list("bababbb"), 7, (3, "a", 4, 1)),
+    # the first-appearing letter fails at the same window; the sorted token names it
+    "bbaa": (list("bbaa"), 4, (2, "a", 0, 2)),
+    "ccbbaa": (list("ccbbaa"), 6, (2, "a", 0, 4)),
+}
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("name", BALANCE_EXAMPLES)
+def test_is_balanced_examples_match_int64_oracle(name):
+    letters, max_window, expected = BALANCE_EXAMPLES[name]
+    report = is_balanced(letters, max_window=max_window)
+    assert report == balance_oracle(letters, max_window)
+    w = report.witness
+    assert (w and (w.window, w.letter, w.low_position, w.high_position)) == expected
+
+
 def test_derived_sequence_to_letter(fib_text):
     derived = derived_sequence(Word.from_text("a"), fib_text)
     renamed = "".join("1" if c == "a" else "2" for c in fib_text)
@@ -1071,6 +1100,9 @@ def text_oracle(letters):
     lambda k: st.lists(st.integers(0, k - 1).map(str), max_size=1500)))
 @example(letters=[])
 @example(letters=[str(k) for k in range(300)] * 2)
+# 256 letters are the most that are coded as latin-1 bytes, and 257 the fewest that are not
+@example(letters=[str(k) for k in range(256)] * 2 + ["255", "0"])
+@example(letters=[str(k) for k in range(257)] * 2 + ["256", "0"])
 # ranks past 0xD800 are lone surrogates in the str
 @example(letters=[str(k) for k in range(70000)])
 @settings(max_examples=150, deadline=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqlab
@@ -16,6 +16,7 @@ from seqlab.golden import (
     GoldenNumber,
     fib,
     sqrt5_sign,
+    surd_decimal,
     tau_pow,
     verify_fib_properties,
 )
@@ -178,6 +179,120 @@ def test_pow_is_repeated_multiplication():
         assert x**exponent == acc
         acc = acc * x
     assert TAU**-3 == tau_pow(-3)
+
+
+class PairReference:
+    """a + b*tau held as two Fractions, with the field formulas written on them."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return PairReference(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return PairReference(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return PairReference(a * c + b * d, a * d + b * c + b * d)
+
+    def inverse(self):
+        a, b = self.a, self.b
+        n = a * a + a * b - b * b
+        return PairReference((a + b) / n, -b / n)
+
+    def __pow__(self, exponent):
+        base = self.inverse() if exponent < 0 else self
+        result = PairReference(1)
+        for _ in range(abs(exponent)):
+            result = result * base
+        return result
+
+    def sign(self):
+        a, b = self.a, self.b
+        return sqrt5_sign(2 * a.numerator * b.denominator + b.numerator * a.denominator,
+                          b.numerator * a.denominator)
+
+    def surd(self):
+        den = math.lcm(self.a.denominator, self.b.denominator)
+        return int((2 * self.a + self.b) * den), int(self.b * den), 5, 2 * den
+
+    def hash(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def json(self):
+        return {"a_num": self.a.numerator, "a_den": self.a.denominator,
+                "b_num": self.b.numerator, "b_den": self.b.denominator}
+
+    def str(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        sign = "-" if b < 0 else "+"
+        mag = "tau" if abs(b) == 1 else f"{abs(b)}*tau"
+        if a == 0:
+            return mag if sign == "+" else f"-{mag}"
+        return f"{a} {sign} {mag}"
+
+    def repr(self):
+        return f"GoldenNumber({self.a!r}, {self.b!r})"
+
+
+def assert_same(x, ref):
+    """Everything a GoldenNumber shows, read against the pair reference."""
+    assert (x.a, x.b) == (ref.a, ref.b)
+    assert x.sign() == ref.sign()
+    assert x.surd() == ref.surd()
+    for upward in (False, True):
+        assert x.decimal(6, upward=upward) == surd_decimal(*ref.surd(), 6, upward=upward)
+    floor = math.floor(x)
+    assert (ref - PairReference(floor)).sign() >= 0 > (ref - PairReference(floor + 1)).sign()
+    assert hash(x) == ref.hash()
+    assert x.to_json_dict() == ref.json()
+    assert str(x) == ref.str()
+    assert repr(x) == ref.repr()
+    if ref.b == 0:
+        assert x == ref.a and ref.a == x and hash(x) == hash(ref.a)
+        if ref.a.denominator == 1:
+            assert x == int(ref.a) and hash(x) == hash(int(ref.a))
+
+
+coefficients = st.one_of(st.integers(-20, 20), fractions,
+                         st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 7)]))
+
+
+@pytest.mark.oracle
+@given(a=coefficients, b=st.one_of(st.just(0), coefficients), c=coefficients,
+       d=st.one_of(st.just(0), coefficients), exponent=st.integers(-5, 5))
+@example(a=0, b=0, c=Fraction(-1, 2), d=Fraction(1, 2), exponent=-5)
+@example(a=Fraction(5, 4), b=Fraction(-1, 8), c=2, d=0, exponent=3)
+@example(a=Fraction(1, 6), b=Fraction(1, 10), c=Fraction(1, 15), d=Fraction(-1, 10), exponent=-1)
+@settings(max_examples=150, deadline=None)
+def test_golden_number_matches_the_fraction_pair_reference(a, b, c, d, exponent):
+    x, y = GoldenNumber(a, b), GoldenNumber(c, d)
+    rx, ry = PairReference(a, b), PairReference(c, d)
+    assert_same(x, rx)
+    assert_same(y, ry)
+    assert_same(x + y, rx + ry)
+    assert_same(x - y, rx - ry)
+    assert_same(x * y, rx * ry)
+    assert_same(c + x, PairReference(c) + rx)
+    assert_same(c - x, PairReference(c) - rx)
+    assert_same(x * c, rx * PairReference(c))
+    assert (x < y) == ((ry - rx).sign() > 0)
+    assert (x == y) == ((rx.a, rx.b) == (ry.a, ry.b))
+    assert (x == y) <= (hash(x) == hash(y))
+    # equal values built along different paths compare and hash equal
+    assert x + y - y == x and hash(x + y - y) == hash(x)
+    if rx.a or rx.b:
+        assert_same(x.inverse(), rx.inverse())
+        assert_same(x**exponent, rx**exponent)
+        assert x * x.inverse() == ONE
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        assert x**abs(exponent) == (ONE if exponent == 0 else ZERO)
 
 
 def test_decimal_rendering():
