@@ -21,7 +21,9 @@ prebuilt Text to share one encoding everywhere.
 
 A Text codes each letter by its rank of first appearance, in one pass, both
 as a str for C-speed substring search and as a read-only numpy array; its
-letters are a tuple, so a factor or return word is one slice of it. Exponents
+letters are a tuple, so a factor is one slice of it and a return word a span
+of it (`words._Span`), a Word that reads the tuple in place and keeps the
+snapshot's letters alive, as a numpy view keeps its base. Exponents
 and counts are exact (ints and Fractions); numpy holds the letter codes,
 boolean mismatch masks, int32 doubling names and LCPs, occurrence gaps, and
 prefix sums modulo the narrowest unsigned type that holds every window count.
@@ -67,7 +69,7 @@ from itertools import islice
 import numpy as np
 
 from .golden import fib, sqrt5_sign
-from .words import SequenceGenerator, Word, discolour_letter, fibonacci_sequence
+from .words import SequenceGenerator, Word, _Span, discolour_letter, fibonacci_sequence
 
 
 class Text:
@@ -252,6 +254,11 @@ class ReturnWordSet:
     When `factor` is a prefix of the sequence the first entry is the return
     word that starts at position 0. `complete` is a heuristic: it is set when
     no new return word appeared in the second half of the horizon.
+
+    Each return word is a span of the snapshot's letter tuple: it equals,
+    hashes, prints and pickles as the Word of its letters, and while it is
+    held it keeps the whole snapshot's letters alive; copy it with
+    Word(w.letters()) to keep it alone.
     """
 
     factor: Word
@@ -410,7 +417,7 @@ def return_words(factor: Word, source: Source, horizon: int | None = None) -> Re
     firsts = _first_appearances(*rows)
     starts, ends = positions[firsts].tolist(), positions[firsts + 1].tolist()
     complete = max(ends) <= len(text) // 2
-    returns = tuple(Word(text.letters[start:end]) for start, end in zip(starts, ends))
+    returns = tuple(_Span(text.letters, start, end) for start, end in zip(starts, ends))
     return ReturnWordSet(factor, returns, complete)
 
 
@@ -525,8 +532,13 @@ def is_balanced(
     exactly when short_h <= L <= long_h for some h in 1..m-1. short_h grows
     strictly with h, so the letter first fails at short_h for the least h
     with short_h <= long_h, and the walk over h stops once short_h passes
-    the longest length still worth checking. The witness's counts are then
-    read off one prefix sum, of its letter, at its window length.
+    the longest length still worth checking. A letter that fills more than
+    half the snapshot walks the positions of the other letters instead: a
+    window's count of it is the window's length less their count, so both
+    spread alike and first fail at the same length, and the walk takes at
+    most n / 2 steps however close to 1 the letter's frequency. The
+    witness's counts are then read off one prefix sum, of its letter, at
+    its window length.
     """
     if max_window < 1:
         raise ValueError(f"max_window must be >= 1, got {max_window}")
@@ -545,9 +557,12 @@ def is_balanced(
     # letters in sorted token order, so the witness does not depend on the coding;
     # a later letter counts only if it fails at a strictly shorter window
     for k in sorted(range(len(text.alphabet)), key=text.alphabet.__getitem__):
-        q = np.empty(bounds[k + 1] - bounds[k] + 2, dtype)
+        positions = grouped[bounds[k] : bounds[k + 1]]
+        if 2 * positions.size > n:
+            positions = np.flatnonzero(codes != k)
+        q = np.empty(positions.size + 2, dtype)
         q[0], q[-1] = -1, n
-        q[1:-1] = grouped[bounds[k] : bounds[k + 1]]
+        q[1:-1] = positions
         buffer = np.empty_like(q)
         for h in range(1, len(q) - 2):
             gaps = np.subtract(q[h:], q[:-h], out=buffer[h:])

@@ -12,6 +12,7 @@ anything else serializes space-separated ("1 1' 3 2 3'").
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -125,6 +126,43 @@ class Word:
 
     def letters(self) -> tuple[str, ...]:
         return self._letters
+
+    def __reduce__(self) -> tuple[type[Word], tuple[tuple[str, ...]]]:
+        # the constructor, not slot state, which __setattr__ refuses
+        return Word, (self._letters,)
+
+
+class _Span(Word):
+    """Letters start .. stop - 1 of a tuple it shares, read as a Word.
+
+    A span keeps the whole tuple alive, as a numpy view keeps its base. Its
+    `_letters` is one transient slice, so every Word method reads the span
+    as if it owned that slice; its length and an int index read no slice.
+    Read it through that slice, never `itertools.islice` over the tuple,
+    which walks the tuple from index 0 to reach `start`. It pickles and copies as a plain Word of its own letters.
+    """
+
+    __slots__ = ("_source", "_start", "_stop")
+
+    def __init__(self, source: tuple[str, ...], start: int, stop: int) -> None:
+        object.__setattr__(self, "_source", source)
+        object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_stop", stop)
+
+    @property
+    def _letters(self) -> tuple[str, ...]:
+        return self._source[self._start : self._stop]
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __getitem__(self, item: int | slice) -> str | Word:
+        if isinstance(item, slice):
+            return super().__getitem__(item)
+        i = operator.index(item)
+        if not -len(self) <= i < len(self):
+            raise IndexError("Word index out of range")
+        return self._source[(self._stop if i < 0 else self._start) + i]
 
 
 # letters per numpy pass: its temporaries (an index or an object array, 8

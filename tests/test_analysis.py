@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
 from unittest import mock
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlab import analysis
+from seqlab import analysis, cli
 from seqlab.analysis import (
     BalanceReport,
     BalanceWitness,
@@ -182,6 +186,99 @@ def test_return_words_error_cuts_a_long_factor():
     message = str(excinfo.value)
     assert message.startswith(f"factor of length 142 starting {factor[:30].to_text()!r} occurs 1 ")
     assert len(message) < 150
+
+
+@st.composite
+def span_cases(draw):
+    """A word, binary, coloured or longer than 256 letters; a factor of it
+    1-4 letters long at a drawn position; and the form it is queried in."""
+    shape = draw(st.sampled_from(["binary", "coloured", "long"]))
+    if shape == "binary":
+        letters = draw(st.lists(st.sampled_from("ab"), min_size=2, max_size=60))
+    elif shape == "coloured":
+        letters = colouring(draw(st.integers(1, 4))).letters(draw(st.integers(2, 120)))
+    else:
+        letters = draw(st.sampled_from([fibonacci_sequence(), colouring(3)])).letters(
+            draw(st.integers(257, 700)))
+        for _ in range(draw(st.integers(0, 2))):
+            letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from(["a", "1'"]))
+    start = draw(st.integers(0, len(letters) - 1))
+    factor = Word(letters[start:start + draw(st.integers(1, 4))])
+    return letters, factor, draw(st.sampled_from(["list", "generator", "text"]))
+
+
+def _assert_span_is_its_word(w, v):
+    """The return word `w` behaves as `v`, the Word that owns its letters."""
+    assert isinstance(w, Word) and type(v) is Word
+    assert w == v and v == w and not w != v and hash(w) == hash(v)
+    assert len(w) == len(v) and bool(w) == bool(v)
+    assert list(iter(w)) == list(v) and w.letters() == v.letters()
+    assert w.to_text() == v.to_text() and repr(w) == repr(v)
+    assert w.parikh() == v.parikh()
+    for letter in {*v, "a", "1'", "z"}:
+        assert w.count(letter) == v.count(letter)
+    for k in (0, 1, len(v) // 2, len(v), len(v) + 1):
+        assert w.startswith(v[:k]) and v.startswith(w[:k])
+    assert w.startswith(Word(["z"])) is v.startswith(Word(["z"]))
+    assert w + v == v + v == v + w and w + w == v + v
+    assert w * 3 == v * 3 and 2 * w == 2 * v and w * 0 == Word()
+    n = len(v)
+    for item in (slice(None), slice(1, None), slice(None, -1), slice(-3, None),
+                 slice(None, None, -1), slice(1, n, 2), slice(n, None), slice(-n - 5, n + 5)):
+        piece = w[item]
+        assert type(piece) is Word and piece == v[item], item
+    for i in range(-n, n):
+        assert w[i] == v[i], i
+    for i in (-n - 1, n, n + 5):
+        with pytest.raises(IndexError):
+            w[i]
+    assert cli._dumps({"word": w, "pair": [w, v]}) == cli._dumps({"word": v, "pair": [v, v]})
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(twin) is Word and twin == v
+    # a pickle holds the word's letters, not the snapshot it was cut from
+    assert pickle.dumps(w) == pickle.dumps(Word(w.letters()))
+
+
+@pytest.mark.oracle
+@given(case=span_cases())
+@example(case=(fibonacci_sequence().letters(300), Word.from_text("aba"), "list"))
+@example(case=(colouring(4).letters(1000), Word.from_text("1 1'"), "generator"))
+@example(case=(list("ab" * 200), Word.from_text("ab"), "text"))
+@settings(max_examples=150, deadline=None)
+def test_return_words_are_their_letters_as_words(case):
+    letters, factor, form = case
+    want = brute_force_returns(letters, factor)
+    if len(want) == 0:
+        return  # the factor occurs once; test_return_words_need_two_occurrences covers it
+    source = {"list": lambda: list(letters),
+              "generator": lambda: PeriodicGenerator(Word(letters)),
+              "text": lambda: Text(letters)}[form]()
+    got = return_words(factor, source, len(letters) if form == "generator" else None).returns
+    assert len(got) == len(want)
+    for w, v in zip(got, want):
+        _assert_span_is_its_word(w, v)
+    if form == "list":  # a return word reads the snapshot's own tuple, never the list
+        source[:] = ["z"] * len(source)
+        assert got == want and [w.to_text() for w in got] == [v.to_text() for v in want]
+
+
+def test_return_words_hold_no_copy_of_their_letters():
+    # the coloured bispecials of a factor-census window: 2,032 owned return words
+    # held about 26 MB; spans of the held snapshot hold their own few bytes
+    letters = colouring(4).letters(20000)
+    factors = [f for f in bispecial_factors(letters, None, 120) if sufficiently_coloured(f, 8)]
+    assert len(factors) == 192
+    for factor in factors:  # builds every doubling level the queries need
+        return_words(factor, letters)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = [return_words(factor, letters) for factor in factors]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(r.returns) for r in held) == 2032
+    assert size < 2 * 10**6, size
 
 
 def _extension_sets(text: str, pattern: str) -> tuple[set[str], set[str]]:
@@ -431,6 +528,9 @@ BALANCE_EXAMPLES = {
     # the first-appearing letter fails at the same window; the sorted token names it
     "bbaa": (list("bbaa"), 4, (2, "a", 0, 2)),
     "ccbbaa": (list("ccbbaa"), 6, (2, "a", 0, 4)),
+    # a letter above half the snapshot is walked through the other letters' positions
+    "dominant-letter": (["a"] * 10**5 + ["b"], 10**4, None),
+    "dominant-letter-fails": (["a"] * 20 + ["b", "b"] + ["a"] * 20, 42, (2, "a", 20, 0)),
 }
 
 

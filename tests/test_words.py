@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -115,6 +117,13 @@ def test_word_operations():
     assert not w.startswith(Word.from_text("ab" * 3))
     assert w.count("a") == 3
     assert dict(w.parikh()) == {"a": 3, "b": 2}
+
+
+@pytest.mark.parametrize("text", ["", "abaab", "1 1' 3 2 3'"])
+def test_word_pickles_and_copies_through_its_constructor(text):
+    w = Word.from_text(text)
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert type(twin) is Word and twin == w and twin.letters() == w.letters()
 
 
 @given(u=words, v=words)
